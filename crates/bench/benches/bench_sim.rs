@@ -9,7 +9,11 @@
 //!   sleep through most of the horizon, so per-event cost should match
 //!   the busy sets (idle tasks cost nothing between their wakes);
 //! * `sim_trace_roundtrip` — serialize + parse the produced trace (the
-//!   measurement pipeline of the paper's §5).
+//!   measurement pipeline of the paper's §5);
+//! * `trace_post/{stats,content_hash}` — the post-processing every
+//!   simulated job pays on the 64-task `sim_events` trace: rebuilding
+//!   job lifecycles (`TraceStats::from_log`) and the digest's content
+//!   hash, throughput in trace events.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rtft_core::time::Instant;
@@ -17,6 +21,7 @@ use rtft_sim::engine::run_plain;
 use rtft_taskgen::paper;
 use rtft_taskgen::GeneratorConfig;
 use rtft_trace::format::{from_text, to_text};
+use rtft_trace::TraceStats;
 use std::hint::black_box;
 
 fn bench_sim(c: &mut Criterion) {
@@ -58,6 +63,25 @@ fn bench_sim(c: &mut Criterion) {
     group.throughput(Throughput::Elements(events as u64));
     group.bench_with_input(BenchmarkId::from_parameter(64usize), &set, |b, set| {
         b.iter(|| run_plain(black_box(set.clone()), Instant::from_millis(1_000)))
+    });
+    group.finish();
+
+    // The 64-task trace of `sim_events/64`.
+    let mut group = c.benchmark_group("trace_post");
+    let set = GeneratorConfig::new(64)
+        .with_utilization(0.6)
+        .with_periods(
+            rtft_core::time::Duration::millis(5),
+            rtft_core::time::Duration::millis(100),
+        )
+        .generate(3);
+    let log = run_plain(set.clone(), Instant::from_millis(1_000));
+    group.throughput(Throughput::Elements(log.len() as u64));
+    group.bench_function(BenchmarkId::from_parameter("stats"), |b| {
+        b.iter(|| TraceStats::from_log(black_box(&log), Some(&set)))
+    });
+    group.bench_function(BenchmarkId::from_parameter("content_hash"), |b| {
+        b.iter(|| black_box(&log).content_hash())
     });
     group.finish();
 

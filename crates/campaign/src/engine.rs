@@ -27,6 +27,7 @@ use rtft_part::multicore::{
 };
 use rtft_part::workbench::Workbench;
 use rtft_sim::engine::SimBuffers;
+use rtft_trace::merge::fold_core_hashes;
 use rtft_trace::EventKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -217,11 +218,10 @@ fn run_global_job(
             } else {
                 OracleOutcome::NotRun
             };
-            let mut digest = digest_outcome(job, &global.outcome, oracle_outcome);
             // The flat log hash is worker-count-stable already, but the
             // merged core-tagged hash is what a partitioned run of the
             // same cell reports — keep the column comparable.
-            digest.trace_hash = global.merged_hash;
+            let digest = digest_outcome(job, &global.outcome, oracle_outcome, global.merged_hash);
             bufs.recycle_log(global.outcome.log);
             digest
         }
@@ -248,7 +248,8 @@ fn run_uni_job(
             } else {
                 OracleOutcome::NotRun
             };
-            let digest = digest_outcome(job, &outcome, oracle_outcome);
+            let trace_hash = outcome.log.content_hash();
+            let digest = digest_outcome(job, &outcome, oracle_outcome, trace_hash);
             // The trace served its purpose; hand the allocation back.
             bufs.recycle_log(outcome.log);
             digest
@@ -354,17 +355,24 @@ fn run_multicore_job(
             return empty_digest(job, JobStatus::AnalysisError(e.to_string()))
         }
     };
+    // Each core's log is hashed once: the hash goes into the core's
+    // digest and is folded into the merged core-tagged hash.
+    let core_hashes: Vec<(usize, u64)> = multi
+        .cores
+        .iter()
+        .map(|run| (run.core, run.outcome.log.content_hash()))
+        .collect();
     let mut digest = empty_digest(job, JobStatus::Ran);
-    digest.trace_hash = multi.merged_hash();
+    digest.trace_hash = fold_core_hashes(core_hashes.iter().copied());
     let mut oracle_outcomes = Vec::with_capacity(multi.cores.len());
-    for run in &multi.cores {
+    for (run, &(_, core_hash)) in multi.cores.iter().zip(&core_hashes) {
         let cjob = core_job(job, sessions, run.core);
         let core_oracle = if oracle {
             check_core_oracle(&cjob, sessions, run)
         } else {
             OracleOutcome::NotRun
         };
-        let part = digest_outcome(&cjob, &run.outcome, core_oracle.clone());
+        let part = digest_outcome(&cjob, &run.outcome, core_oracle, core_hash);
         digest.released += part.released;
         digest.completed += part.completed;
         digest.missed += part.missed;
@@ -374,7 +382,7 @@ fn run_multicore_job(
         digest.failed_tasks.extend(part.failed_tasks);
         digest.collateral.extend(part.collateral);
         digest.detector_latencies.extend(part.detector_latencies);
-        oracle_outcomes.push(core_oracle);
+        oracle_outcomes.push(part.oracle);
     }
     digest.failed_tasks.sort_unstable();
     digest.collateral.sort_unstable();
@@ -391,7 +399,15 @@ fn run_multicore_job(
     digest
 }
 
-fn digest_outcome(job: &JobSpec, outcome: &ScenarioOutcome, oracle: OracleOutcome) -> JobDigest {
+/// Reduce one run to its digest. `trace_hash` comes from the caller,
+/// which picks the hash domain (flat or merged core-tagged) and hashes
+/// each event exactly once.
+fn digest_outcome(
+    job: &JobSpec,
+    outcome: &ScenarioOutcome,
+    oracle: OracleOutcome,
+    trace_hash: u64,
+) -> JobDigest {
     let mut released = 0;
     let mut completed = 0;
     let mut missed = 0;
@@ -434,7 +450,7 @@ fn digest_outcome(job: &JobSpec, outcome: &ScenarioOutcome, oracle: OracleOutcom
         treatment: job.treatment.name(),
         platform: job.platform.label(),
         status: JobStatus::Ran,
-        trace_hash: outcome.log.content_hash(),
+        trace_hash,
         released,
         completed,
         missed,

@@ -174,7 +174,9 @@ impl Duration {
     pub fn div_ceil(self, period: Duration) -> i64 {
         assert!(period.0 > 0, "period must be positive");
         assert!(self.0 >= 0, "div_ceil of a negative span");
-        (self.0 + period.0 - 1) / period.0
+        // `q + (r != 0)`, not `(self + period - 1) / period`: the sum
+        // wraps for spans near `i64::MAX`.
+        self.0 / period.0 + i64::from(self.0 % period.0 != 0)
     }
 
     /// Largest of two spans.
@@ -516,6 +518,30 @@ mod tests {
         assert_eq!(Duration::millis(200).div_ceil(Duration::millis(200)), 1);
         assert_eq!(Duration::millis(201).div_ceil(Duration::millis(200)), 2);
         assert_eq!(Duration::ZERO.div_ceil(Duration::millis(200)), 0);
+    }
+
+    #[test]
+    fn div_ceil_does_not_wrap_near_i64_max() {
+        let max = i64::MAX;
+        // i64::MAX = 7 · 1317624576693539401, exactly.
+        assert_eq!(Duration::MAX.div_ceil(Duration::nanos(7)), max / 7);
+        assert_eq!(Duration::MAX.div_ceil(Duration::nanos(2)), max / 2 + 1);
+        assert_eq!(Duration::MAX.div_ceil(Duration::nanos(3)), max / 3 + 1);
+        assert_eq!(Duration::MAX.div_ceil(Duration::NANO), max);
+        assert_eq!(
+            Duration::nanos(max - 1).div_ceil(Duration::nanos(2)),
+            max / 2
+        );
+        assert_eq!(Duration::MAX.div_ceil(Duration::MAX), 1);
+        // Agrees with the textbook form wherever that form cannot wrap.
+        for n in 0..50 {
+            for p in 1..12 {
+                assert_eq!(
+                    Duration::nanos(n).div_ceil(Duration::nanos(p)),
+                    (n + p - 1) / p
+                );
+            }
+        }
     }
 
     #[test]

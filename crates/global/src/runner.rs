@@ -40,6 +40,7 @@ use rtft_sim::engine::{SimBuffers, SimConfig};
 use rtft_sim::global::GlobalSimulator;
 use rtft_sim::sink::TraceSink;
 use rtft_sim::supervisor::NullSupervisor;
+use rtft_trace::merge::merged_content_hash;
 use rtft_trace::{TraceLog, TraceStats};
 
 use crate::analyzer::GlobalAnalyzer;
@@ -55,7 +56,9 @@ pub struct GlobalOutcome {
     pub cores: usize,
     /// Order-insensitive hash over the per-core projections of the
     /// trace — comparable across worker counts and with a partitioned
-    /// run's merged hash ([`GlobalSimulator::merged_hash`]).
+    /// run's merged hash. Computed once, by
+    /// [`rtft_trace::merge::merged_content_hash`] over `core_logs`, so
+    /// the run's trace is split and hashed a single time.
     pub merged_hash: u64,
     /// The per-core projections themselves, ascending core index, with
     /// one extra trailing log (index `cores`) holding the platform-level
@@ -190,7 +193,7 @@ fn run_global_sunk(
     let mut sim =
         GlobalSimulator::new_in(sc.set.clone(), cores, config, bufs).with_faults(sc.faults.clone());
 
-    let (merged_hash, core_logs, log) = if sc.treatment.has_detection() {
+    let (core_logs, log) = if sc.treatment.has_detection() {
         let mut sup = FtSupervisor::new(sc.treatment, thresholds.clone(), wcrt.clone(), manager);
         for (first, period, tag) in sup.detector_specs(&sc.set) {
             sim.add_periodic_timer(first, period, tag);
@@ -199,16 +202,18 @@ fn run_global_sunk(
             Some(s) => sim.run_streamed(&mut sup, s),
             None => sim.run(&mut sup),
         };
-        (sim.merged_hash(), sim.core_logs(), sim.finish(bufs))
+        (sim.core_logs(), sim.finish(bufs))
     } else {
         let mut sup = NullSupervisor;
         match sink {
             Some(s) => sim.run_streamed(&mut sup, s),
             None => sim.run(&mut sup),
         };
-        (sim.merged_hash(), sim.core_logs(), sim.finish(bufs))
+        (sim.core_logs(), sim.finish(bufs))
     };
 
+    let refs: Vec<(usize, &TraceLog)> = core_logs.iter().map(|(c, l)| (*c, l)).collect();
+    let merged_hash = merged_content_hash(&refs);
     let stats = TraceStats::from_log(&log, Some(&sc.set));
     let verdict = Verdict::new(&sc.set, &stats);
     let mut injected_faulty: Vec<rtft_core::task::TaskId> = sc

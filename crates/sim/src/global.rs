@@ -40,9 +40,8 @@
 //! detector/supervisor markers, the end-of-run marker) carry no core.
 //! [`GlobalSimulator::core_logs`] splits the interleaved log into
 //! per-core logs (platform events under the pseudo-core `m`) for
-//! `rtft_trace::merge`, and [`GlobalSimulator::merged_hash`] digests
-//! them with the same `merged_content_hash` the partitioned runner
-//! uses.
+//! `rtft_trace::merge`, whose `merged_content_hash` digests them as it
+//! digests the partitioned runner's per-core logs.
 
 use crate::arrival::ArrivalModel;
 use crate::component::{Component, OneShotComponent, TaskComponent, TimerComponent};
@@ -56,7 +55,6 @@ use crate::stop::StopMode;
 use crate::supervisor::{Command, Supervisor};
 use rtft_core::task::TaskSet;
 use rtft_core::time::{Duration, Instant};
-use rtft_trace::merge::merged_content_hash;
 use rtft_trace::{EventKind, TraceLog};
 
 /// Core tag of platform-level events (no specific core).
@@ -266,15 +264,6 @@ impl GlobalSimulator {
             logs[bucket].1.push(e.at, e.kind);
         }
         logs
-    }
-
-    /// Content hash of the core-tagged trace, in the same hash domain
-    /// as the partitioned runner's `merged_hash` (FNV-1a over the
-    /// per-core logs of [`Self::core_logs`]).
-    pub fn merged_hash(&self) -> u64 {
-        let logs = self.core_logs();
-        let refs: Vec<(usize, &TraceLog)> = logs.iter().map(|(c, l)| (*c, l)).collect();
-        merged_content_hash(&refs)
     }
 
     /// Component id of the one-shot multiplexer.
@@ -933,10 +922,10 @@ mod tests {
                 ));
             }
         }
-        // The digest is deterministic.
+        // The split is deterministic.
         let mut again = GlobalSimulator::new(table2(), 2, SimConfig::until(t(300)));
         again.run(&mut NullSupervisor);
-        assert_eq!(sim.merged_hash(), again.merged_hash());
+        assert_eq!(sim.core_logs(), again.core_logs());
     }
 
     #[test]

@@ -78,10 +78,10 @@ fn global_sink_reports_the_engine_core_tags() {
         "releases are platform-level"
     );
 
-    // The merged hash is unchanged by observation.
+    // The core-tagged logs are unchanged by observation.
     let mut plain = GlobalSimulator::new(table2(), 2, SimConfig::until(t(2000)));
     plain.run(&mut NullSupervisor);
-    assert_eq!(plain.merged_hash(), sim.merged_hash());
+    assert_eq!(plain.core_logs(), sim.core_logs());
 }
 
 #[test]

@@ -77,6 +77,14 @@ pub fn merge_core_traces(logs: &[(usize, &TraceLog)]) -> Vec<CoreEvent> {
 /// uniprocessor digest live in different domains (only the latter is
 /// pinned by the golden traces).
 pub fn merged_content_hash(logs: &[(usize, &TraceLog)]) -> u64 {
+    fold_core_hashes(logs.iter().map(|(core, log)| (*core, log.content_hash())))
+}
+
+/// The fold behind [`merged_content_hash`], over `(core id, per-core
+/// content hash)` pairs in input order. A caller that already hashed
+/// each core's log folds those hashes here instead of hashing every
+/// event a second time.
+pub fn fold_core_hashes(hashes: impl ExactSizeIterator<Item = (usize, u64)>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for b in bytes {
@@ -84,10 +92,10 @@ pub fn merged_content_hash(logs: &[(usize, &TraceLog)]) -> u64 {
             h = h.wrapping_mul(0x1000_0000_01b3);
         }
     };
-    eat(&(logs.len() as u64).to_le_bytes());
-    for (core, log) in logs {
-        eat(&(*core as u64).to_le_bytes());
-        eat(&log.content_hash().to_le_bytes());
+    eat(&(hashes.len() as u64).to_le_bytes());
+    for (core, hash) in hashes {
+        eat(&(core as u64).to_le_bytes());
+        eat(&hash.to_le_bytes());
     }
     h
 }
@@ -174,6 +182,48 @@ mod tests {
         assert_ne!(ab, merged_content_hash(&[(0, &a), (2, &b)]));
         // And it differs from the flat uniprocessor hash domain.
         assert_ne!(merged_content_hash(&[(0, &a)]), a.content_hash());
+    }
+
+    /// The merged hash as it was computed before the fold was split
+    /// out: one FNV-1a pass straight over the logs.
+    fn reference_merged_hash(logs: &[(usize, &TraceLog)]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for b in bytes {
+                h ^= u64::from(*b);
+                h = h.wrapping_mul(0x1000_0000_01b3);
+            }
+        };
+        eat(&(logs.len() as u64).to_le_bytes());
+        for (core, log) in logs {
+            eat(&(*core as u64).to_le_bytes());
+            eat(&log.content_hash().to_le_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn folding_per_core_hashes_equals_the_merged_hash() {
+        let a = log(&[(0, 1), (4, 1)]);
+        let b = log(&[(2, 2)]);
+        let empty = TraceLog::new();
+        // Interior and trailing empty cores, and a trailing platform log
+        // at index `cores` as the global runner produces.
+        let platform = log(&[(0, 9), (1, 9)]);
+        let shapes: [Vec<(usize, &TraceLog)>; 5] = [
+            vec![],
+            vec![(0, &empty)],
+            vec![(0, &a), (1, &empty), (2, &b)],
+            vec![(0, &a), (1, &b), (2, &empty)],
+            vec![(0, &empty), (1, &a), (2, &b), (3, &platform)],
+        ];
+        for logs in &shapes {
+            let hashes: Vec<(usize, u64)> =
+                logs.iter().map(|(c, l)| (*c, l.content_hash())).collect();
+            let folded = fold_core_hashes(hashes.iter().copied());
+            assert_eq!(folded, merged_content_hash(logs), "{} inputs", logs.len());
+            assert_eq!(folded, reference_merged_hash(logs), "{} inputs", logs.len());
+        }
     }
 
     #[test]

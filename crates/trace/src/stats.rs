@@ -8,6 +8,7 @@ use crate::event::{EventKind, JobIndex};
 use crate::log::TraceLog;
 use rtft_core::task::{TaskId, TaskSet};
 use rtft_core::time::{Duration, Instant};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// Reconstructed lifecycle of a single job.
@@ -84,10 +85,178 @@ impl TaskSummary {
 }
 
 /// Job records and per-task summaries extracted from one trace.
+///
+/// **Storage.** Dense: one entry per task, ordered by task id, each
+/// holding the task's summary and its job records ordered by job index.
+/// Accessors are binary searches over those vectors, and the iterators
+/// walk them in `(task, job)` order.
+///
+/// **Cost.** [`TraceStats::from_log`] is a single pass over the log and
+/// O(1) per event on simulator output: it remembers the last task it
+/// touched (a direct table serves small task ids), caches each task's
+/// relative deadline, and finds a job by scanning back a few records from
+/// the newest one, since in-flight jobs sit at the tail. Summaries are
+/// folded once per job at the end.
+///
+/// **Untrusted captures.** A job first seen below its task's newest index
+/// (reversed, interleaved or gap-filling indices) goes to an ordered
+/// side map, and task ids past the direct table's 1024 entries go to
+/// another, so no event costs more than O(log n) and the build is
+/// O(n log n) at worst. Nothing is allocated in proportion to a raw
+/// [`JobIndex`] or a large task id.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct TraceStats {
-    jobs: BTreeMap<(TaskId, JobIndex), JobRecord>,
-    summaries: BTreeMap<TaskId, TaskSummary>,
+    tasks: Vec<TaskStats>,
+}
+
+/// One task's slice of a [`TraceStats`].
+#[derive(Clone, PartialEq, Debug)]
+struct TaskStats {
+    task: TaskId,
+    summary: TaskSummary,
+    /// Ascending job index.
+    jobs: Vec<JobRecord>,
+}
+
+/// Task ids below this bound are found through a direct table; larger
+/// ids go through an ordered map.
+const DIRECT_TASK_IDS: u32 = 1024;
+
+/// Records a job lookup scans back from the newest before it falls back
+/// to binary search.
+const TAIL_SCAN: usize = 4;
+
+/// Marks an unseen task in the direct table.
+const UNSEEN: usize = usize::MAX;
+
+/// One task while [`TraceStats::from_log`] runs.
+struct TaskBuild {
+    task: TaskId,
+    /// Relative deadline from the task set, looked up once.
+    deadline: Option<Duration>,
+    /// Ascending job index; a job above the newest one is appended.
+    jobs: Vec<JobRecord>,
+    /// Jobs first seen below the newest index in `jobs`.
+    late: BTreeMap<JobIndex, JobRecord>,
+}
+
+impl TaskBuild {
+    /// The record of `job`, created with `release = at` if unseen.
+    fn record(&mut self, job: JobIndex, at: Instant) -> &mut JobRecord {
+        let fresh = JobRecord {
+            task: self.task,
+            job,
+            release: at,
+            start: None,
+            end: None,
+            deadline: None,
+            missed: false,
+            stopped: false,
+            faulty: false,
+        };
+        if self.jobs.last().is_none_or(|newest| newest.job < job) {
+            self.jobs.push(fresh);
+            return self.jobs.last_mut().expect("just pushed");
+        }
+        match self.find(job) {
+            Some(i) => &mut self.jobs[i],
+            None => self.late.entry(job).or_insert(fresh),
+        }
+    }
+
+    /// Position of `job` in `jobs`: a short scan back from the tail, then
+    /// binary search over the rest.
+    fn find(&self, job: JobIndex) -> Option<usize> {
+        let n = self.jobs.len();
+        let head = n.saturating_sub(TAIL_SCAN);
+        for i in (head..n).rev() {
+            match self.jobs[i].job.cmp(&job) {
+                Ordering::Equal => return Some(i),
+                Ordering::Less => return None,
+                Ordering::Greater => {}
+            }
+        }
+        self.jobs[..head].binary_search_by_key(&job, |r| r.job).ok()
+    }
+
+    fn finish(self) -> TaskStats {
+        let mut jobs = self.jobs;
+        if !self.late.is_empty() {
+            jobs.extend(self.late.into_values());
+            jobs.sort_unstable_by_key(|r| r.job);
+        }
+        let mut summary = TaskSummary::default();
+        for record in &jobs {
+            summary.released += 1;
+            if record.missed {
+                summary.missed += 1;
+            }
+            if record.stopped {
+                summary.stopped += 1;
+            }
+            if record.faulty {
+                summary.faults += 1;
+            }
+            if let Some(r) = record.response() {
+                summary.completed += 1;
+                summary.total_response += r;
+                summary.max_response = Some(summary.max_response.map_or(r, |m| m.max(r)));
+                summary.min_response = Some(summary.min_response.map_or(r, |m| m.min(r)));
+            }
+        }
+        TaskStats {
+            task: self.task,
+            summary,
+            jobs,
+        }
+    }
+}
+
+/// The tasks of a log in first-seen order, with their lookup tables.
+struct Builder<'a> {
+    set: Option<&'a TaskSet>,
+    tasks: Vec<TaskBuild>,
+    /// `direct[id]` is the slot of task `id` (ids below
+    /// [`DIRECT_TASK_IDS`]), or [`UNSEEN`].
+    direct: Vec<usize>,
+    /// Slots of the larger ids.
+    wide: BTreeMap<TaskId, usize>,
+    /// Slot of the task touched last.
+    last: usize,
+}
+
+impl Builder<'_> {
+    fn task(&mut self, task: TaskId) -> &mut TaskBuild {
+        if self.tasks.get(self.last).is_none_or(|t| t.task != task) {
+            self.last = self.slot(task);
+        }
+        &mut self.tasks[self.last]
+    }
+
+    fn slot(&mut self, task: TaskId) -> usize {
+        let fresh = self.tasks.len();
+        let slot = if task.0 < DIRECT_TASK_IDS {
+            let id = task.0 as usize;
+            if id >= self.direct.len() {
+                self.direct.resize(id + 1, UNSEEN);
+            }
+            if self.direct[id] == UNSEEN {
+                self.direct[id] = fresh;
+            }
+            self.direct[id]
+        } else {
+            *self.wide.entry(task).or_insert(fresh)
+        };
+        if slot == fresh {
+            self.tasks.push(TaskBuild {
+                task,
+                deadline: self.set.and_then(|s| s.by_id(task)).map(|s| s.deadline),
+                jobs: Vec::new(),
+                late: BTreeMap::new(),
+            });
+        }
+        slot
+    }
 }
 
 impl TraceStats {
@@ -95,29 +264,25 @@ impl TraceStats {
     /// deadlines are attached so [`JobRecord::met_deadline`] can judge jobs
     /// even if the producer did not emit explicit miss events.
     pub fn from_log(log: &TraceLog, set: Option<&TaskSet>) -> Self {
-        let mut jobs: BTreeMap<(TaskId, JobIndex), JobRecord> = BTreeMap::new();
+        let mut b = Builder {
+            set,
+            tasks: Vec::new(),
+            direct: Vec::new(),
+            wide: BTreeMap::new(),
+            last: 0,
+        };
         for e in log.events() {
             let (Some(task), Some(job)) = (e.kind.task(), e.kind.job()) else {
                 continue;
             };
-            let entry = jobs.entry((task, job)).or_insert(JobRecord {
-                task,
-                job,
-                release: e.at,
-                start: None,
-                end: None,
-                deadline: None,
-                missed: false,
-                stopped: false,
-                faulty: false,
-            });
+            let t = b.task(task);
+            let deadline = t.deadline;
+            let entry = t.record(job, e.at);
             match e.kind {
                 EventKind::JobRelease { .. } => {
                     entry.release = e.at;
-                    if let Some(set) = set {
-                        if let Some(spec) = set.by_id(task) {
-                            entry.deadline = Some(e.at + spec.deadline);
-                        }
+                    if let Some(d) = deadline {
+                        entry.deadline = Some(e.at + d);
                     }
                 }
                 EventKind::JobStart { .. } => entry.start = Some(e.at),
@@ -128,56 +293,45 @@ impl TraceStats {
                 _ => {}
             }
         }
+        let mut tasks: Vec<TaskStats> = b.tasks.into_iter().map(TaskBuild::finish).collect();
+        tasks.sort_unstable_by_key(|t| t.task);
+        TraceStats { tasks }
+    }
 
-        let mut summaries: BTreeMap<TaskId, TaskSummary> = BTreeMap::new();
-        for record in jobs.values() {
-            let s = summaries.entry(record.task).or_default();
-            s.released += 1;
-            if record.missed {
-                s.missed += 1;
-            }
-            if record.stopped {
-                s.stopped += 1;
-            }
-            if record.faulty {
-                s.faults += 1;
-            }
-            if let Some(r) = record.response() {
-                s.completed += 1;
-                s.total_response += r;
-                s.max_response = Some(s.max_response.map_or(r, |m| m.max(r)));
-                s.min_response = Some(s.min_response.map_or(r, |m| m.min(r)));
-            }
-        }
-        TraceStats { jobs, summaries }
+    fn entry(&self, task: TaskId) -> Option<&TaskStats> {
+        self.tasks
+            .binary_search_by_key(&task, |t| t.task)
+            .ok()
+            .map(|i| &self.tasks[i])
     }
 
     /// Record of a particular job.
     pub fn job(&self, task: TaskId, job: JobIndex) -> Option<&JobRecord> {
-        self.jobs.get(&(task, job))
+        let jobs = &self.entry(task)?.jobs;
+        jobs.binary_search_by_key(&job, |r| r.job)
+            .ok()
+            .map(|i| &jobs[i])
     }
 
     /// All job records, ordered by `(task, job)`.
     pub fn jobs(&self) -> impl Iterator<Item = &JobRecord> {
-        self.jobs.values()
+        self.tasks.iter().flat_map(|t| &t.jobs)
     }
 
     /// Job records of one task, in job order.
     pub fn jobs_of(&self, task: TaskId) -> Vec<&JobRecord> {
-        self.jobs
-            .range((task, 0)..=(task, JobIndex::MAX))
-            .map(|(_, v)| v)
-            .collect()
+        self.entry(task)
+            .map_or_else(Vec::new, |t| t.jobs.iter().collect())
     }
 
     /// Summary of one task.
     pub fn summary(&self, task: TaskId) -> Option<&TaskSummary> {
-        self.summaries.get(&task)
+        self.entry(task).map(|t| &t.summary)
     }
 
     /// All task summaries, by id.
     pub fn summaries(&self) -> impl Iterator<Item = (&TaskId, &TaskSummary)> {
-        self.summaries.iter()
+        self.tasks.iter().map(|t| (&t.task, &t.summary))
     }
 
     /// Largest observed response of a task — the experimental counterpart
@@ -196,7 +350,7 @@ impl TraceStats {
             "{:<6} {:>8} {:>9} {:>7} {:>8} {:>7} {:>12} {:>12}",
             "task", "released", "completed", "missed", "stopped", "faults", "maxresp", "meanresp"
         );
-        for (task, s) in &self.summaries {
+        for (task, s) in self.summaries() {
             let _ = writeln!(
                 out,
                 "{:<6} {:>8} {:>9} {:>7} {:>8} {:>7} {:>12} {:>12}",
@@ -549,5 +703,308 @@ mod tests {
         let stats = TraceStats::from_log(&TraceLog::new(), None);
         assert_eq!(stats.jobs().count(), 0);
         assert_eq!(stats.summary(TaskId(1)), None);
+    }
+
+    /// The original `BTreeMap` builder, kept verbatim as the reference
+    /// model the dense storage is checked against.
+    struct Reference {
+        jobs: BTreeMap<(TaskId, JobIndex), JobRecord>,
+        summaries: BTreeMap<TaskId, TaskSummary>,
+    }
+
+    impl Reference {
+        fn from_log(log: &TraceLog, set: Option<&TaskSet>) -> Self {
+            let mut jobs: BTreeMap<(TaskId, JobIndex), JobRecord> = BTreeMap::new();
+            for e in log.events() {
+                let (Some(task), Some(job)) = (e.kind.task(), e.kind.job()) else {
+                    continue;
+                };
+                let entry = jobs.entry((task, job)).or_insert(JobRecord {
+                    task,
+                    job,
+                    release: e.at,
+                    start: None,
+                    end: None,
+                    deadline: None,
+                    missed: false,
+                    stopped: false,
+                    faulty: false,
+                });
+                match e.kind {
+                    EventKind::JobRelease { .. } => {
+                        entry.release = e.at;
+                        if let Some(set) = set {
+                            if let Some(spec) = set.by_id(task) {
+                                entry.deadline = Some(e.at + spec.deadline);
+                            }
+                        }
+                    }
+                    EventKind::JobStart { .. } => entry.start = Some(e.at),
+                    EventKind::JobEnd { .. } => entry.end = Some(e.at),
+                    EventKind::DeadlineMiss { .. } => entry.missed = true,
+                    EventKind::TaskStopped { .. } => entry.stopped = true,
+                    EventKind::FaultDetected { .. } => entry.faulty = true,
+                    _ => {}
+                }
+            }
+
+            let mut summaries: BTreeMap<TaskId, TaskSummary> = BTreeMap::new();
+            for record in jobs.values() {
+                let s = summaries.entry(record.task).or_default();
+                s.released += 1;
+                if record.missed {
+                    s.missed += 1;
+                }
+                if record.stopped {
+                    s.stopped += 1;
+                }
+                if record.faulty {
+                    s.faults += 1;
+                }
+                if let Some(r) = record.response() {
+                    s.completed += 1;
+                    s.total_response += r;
+                    s.max_response = Some(s.max_response.map_or(r, |m| m.max(r)));
+                    s.min_response = Some(s.min_response.map_or(r, |m| m.min(r)));
+                }
+            }
+            Reference { jobs, summaries }
+        }
+
+        fn render_table(&self) -> String {
+            use std::fmt::Write as _;
+            let mut out = String::new();
+            let _ = writeln!(
+                out,
+                "{:<6} {:>8} {:>9} {:>7} {:>8} {:>7} {:>12} {:>12}",
+                "task",
+                "released",
+                "completed",
+                "missed",
+                "stopped",
+                "faults",
+                "maxresp",
+                "meanresp"
+            );
+            for (task, s) in &self.summaries {
+                let _ = writeln!(
+                    out,
+                    "{:<6} {:>8} {:>9} {:>7} {:>8} {:>7} {:>12} {:>12}",
+                    task.to_string(),
+                    s.released,
+                    s.completed,
+                    s.missed,
+                    s.stopped,
+                    s.faults,
+                    s.max_response.map_or("-".into(), |d| d.to_string()),
+                    s.mean_response().map_or("-".into(), |d| d.to_string()),
+                );
+            }
+            out
+        }
+    }
+
+    /// Assert every accessor of `stats` agrees with the reference model.
+    fn assert_matches_reference(log: &TraceLog, set: Option<&TaskSet>, probes: &[TaskId]) {
+        let stats = TraceStats::from_log(log, set);
+        let reference = Reference::from_log(log, set);
+        let jobs: Vec<JobRecord> = stats.jobs().copied().collect();
+        let expected: Vec<JobRecord> = reference.jobs.values().copied().collect();
+        assert_eq!(jobs, expected, "jobs() in (task, job) order");
+        for (&(task, job), record) in &reference.jobs {
+            assert_eq!(stats.job(task, job), Some(record));
+            for near in [job.wrapping_sub(1), job.wrapping_add(1)] {
+                assert_eq!(
+                    stats.job(task, near),
+                    reference.jobs.get(&(task, near)),
+                    "probe {task} job {near}"
+                );
+            }
+        }
+        let summaries: Vec<(TaskId, TaskSummary)> =
+            stats.summaries().map(|(t, s)| (*t, *s)).collect();
+        let expected: Vec<(TaskId, TaskSummary)> =
+            reference.summaries.iter().map(|(t, s)| (*t, *s)).collect();
+        assert_eq!(summaries, expected, "summaries() by id");
+        let tasks = reference.summaries.keys().chain(probes);
+        for &task in tasks {
+            assert_eq!(stats.summary(task), reference.summaries.get(&task));
+            assert_eq!(
+                stats.observed_wcrt(task),
+                reference.summaries.get(&task).and_then(|s| s.max_response)
+            );
+            let of: Vec<&JobRecord> = reference
+                .jobs
+                .range((task, 0)..=(task, JobIndex::MAX))
+                .map(|(_, v)| v)
+                .collect();
+            assert_eq!(stats.jobs_of(task), of, "jobs_of({task})");
+            assert_eq!(
+                stats.job(task, JobIndex::MAX),
+                reference.jobs.get(&(task, JobIndex::MAX))
+            );
+        }
+        assert_eq!(stats.render_table(), reference.render_table());
+    }
+
+    /// SplitMix64: a dependency-free seeded generator for the random logs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Task ids of the random logs: small ids (some absent from the set)
+    /// plus ids past the direct lookup table.
+    const POOL: [u32; 7] = [1, 2, 3, 7, 1023, 5000, u32::MAX];
+
+    fn random_log(rng: &mut Rng, events: usize) -> TraceLog {
+        let tasks = &POOL[..1 + rng.below(POOL.len() as u64) as usize];
+        let mut next_job = vec![0u64; tasks.len()];
+        let mut log = TraceLog::new();
+        let mut now = 0i64;
+        for _ in 0..events {
+            now += rng.below(3) as i64;
+            let slot = rng.below(tasks.len() as u64) as usize;
+            let task = TaskId(tasks[slot]);
+            // Mostly in-flight jobs near the newest index; sometimes a
+            // revisit far back, a gap forward, or an index near u64::MAX.
+            let job = match rng.below(10) {
+                0 => rng.below(next_job[slot] + 1),
+                1 => {
+                    next_job[slot] += 1 + rng.below(50);
+                    next_job[slot]
+                }
+                2 => u64::MAX - rng.below(3),
+                3 => {
+                    next_job[slot] += 1;
+                    next_job[slot]
+                }
+                _ => next_job[slot].saturating_sub(rng.below(3)),
+            };
+            let kind = match rng.below(12) {
+                0 | 1 => EventKind::JobRelease { task, job },
+                2 => EventKind::JobStart { task, job },
+                3 | 4 => EventKind::JobEnd { task, job },
+                5 => EventKind::Preempted {
+                    task,
+                    job,
+                    by: TaskId(1),
+                },
+                6 => EventKind::DeadlineMiss { task, job },
+                7 => EventKind::TaskStopped { task, job },
+                8 => EventKind::FaultDetected { task, job },
+                9 => EventKind::AllowanceGranted {
+                    task,
+                    job,
+                    amount: ms(1),
+                },
+                10 => EventKind::DetectorRelease { task, job },
+                _ => EventKind::CpuIdle,
+            };
+            log.push(t(now), kind);
+        }
+        log
+    }
+
+    #[test]
+    fn dense_storage_matches_the_btreemap_reference() {
+        // The set knows τ1, τ3 and τ5000; τ2, τ7, τ1023 and τ4294967295
+        // appear in logs without a deadline.
+        let wide = TaskSet::from_specs(vec![
+            TaskBuilder::new(1, 20, ms(200), ms(29))
+                .deadline(ms(70))
+                .build(),
+            TaskBuilder::new(3, 16, ms(1500), ms(29))
+                .deadline(ms(120))
+                .build(),
+            TaskBuilder::new(5000, 10, ms(400), ms(5))
+                .deadline(ms(9))
+                .build(),
+        ]);
+        let probes = [TaskId(0), TaskId(4), TaskId(1024), TaskId(u32::MAX - 1)];
+        let mut rng = Rng(0x5eed);
+        for round in 0..300 {
+            let log = random_log(&mut rng, 1 + round % 97 * 3);
+            assert_matches_reference(&log, Some(&wide), &probes);
+            assert_matches_reference(&log, None, &probes);
+        }
+        assert_matches_reference(&log(), Some(&set()), &probes);
+        assert_matches_reference(&TraceLog::new(), None, &probes);
+    }
+
+    #[test]
+    fn jobs_without_a_release_keep_their_first_instant() {
+        let mut log = TraceLog::new();
+        let (a, b) = (TaskId(2), TaskId(1));
+        log.push(t(5), EventKind::JobStart { task: a, job: 3 });
+        log.push(t(6), EventKind::JobRelease { task: b, job: 0 });
+        log.push(t(9), EventKind::JobEnd { task: a, job: 3 });
+        log.push(t(9), EventKind::JobStart { task: a, job: 1 });
+        let stats = TraceStats::from_log(&log, Some(&set()));
+        let j = stats.job(a, 3).unwrap();
+        assert_eq!(
+            (j.release, j.deadline, j.response()),
+            (t(5), None, Some(ms(4)))
+        );
+        assert_eq!(stats.job(b, 0).unwrap().deadline, Some(t(76)));
+        let order: Vec<(u32, u64)> = stats.jobs().map(|j| (j.task.0, j.job)).collect();
+        assert_eq!(order, vec![(1, 0), (2, 1), (2, 3)]);
+        assert_matches_reference(&log, Some(&set()), &[]);
+    }
+
+    /// Release, start and end of each job in `order`, one task.
+    fn lifecycle_log(order: impl Iterator<Item = JobIndex>) -> TraceLog {
+        let task = TaskId(1);
+        let mut log = TraceLog::new();
+        for (i, job) in order.enumerate() {
+            let at = t(i as i64);
+            log.push(at, EventKind::JobRelease { task, job });
+            log.push(at, EventKind::JobStart { task, job });
+            log.push(at, EventKind::JobEnd { task, job });
+        }
+        log
+    }
+
+    #[test]
+    fn descending_job_indices_stay_fast() {
+        // 200k events, every job below the newest: each must take the
+        // O(log n) path, never a shift of the sorted records.
+        const JOBS: u64 = 200_000 / 3;
+        let log = lifecycle_log((0..JOBS).rev());
+        assert!(log.len() >= 200_000 - 2);
+        let start = std::time::Instant::now();
+        let stats = TraceStats::from_log(&log, None);
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{elapsed:?} for a descending 200k-event log"
+        );
+        assert_eq!(stats.summary(TaskId(1)).unwrap().released, JOBS as usize);
+        let jobs = stats.jobs_of(TaskId(1));
+        assert!(jobs.windows(2).all(|w| w[0].job < w[1].job));
+        assert_eq!(stats.job(TaskId(1), 0).unwrap().release, t(JOBS as i64 - 1));
+    }
+
+    #[test]
+    fn huge_job_indices_do_not_allocate_by_index() {
+        // A table indexed by the raw job index would need ~2^64 slots.
+        let order = [u64::MAX, 0, u64::MAX - 1, 1 << 40, u64::MAX / 2];
+        let log = lifecycle_log(order.iter().copied());
+        let stats = TraceStats::from_log(&log, None);
+        let jobs: Vec<JobIndex> = stats.jobs().map(|j| j.job).collect();
+        assert_eq!(jobs, vec![0, 1 << 40, u64::MAX / 2, u64::MAX - 1, u64::MAX]);
+        assert_eq!(stats.job(TaskId(1), u64::MAX).unwrap().release, t(0));
+        assert_matches_reference(&log, None, &[]);
     }
 }
