@@ -38,27 +38,23 @@
 //! relative deadline: the equitable-allowance search admitted exactly
 //! the Δmax inflation, hence the inflated system is demand-feasible and
 //! every completed job must respond within `D_i`.
+//!
+//! The bound itself — the overheads skip, the `Δmax = 0` shortcut, the
+//! equitable-allowance gate, the EDF shortcut and the inflated analysis
+//! — is [`Recipe::certify`], the one certification recipe the runners
+//! arm their detectors from and `rtft replay` checks traces against.
+//! [`check`] and [`check_global`] are the same body over the
+//! uniprocessor and the global session.
 
 use crate::spec::JobSpec;
 use rtft_core::analyzer::Analyzer;
-use rtft_core::policy::PolicyKind;
 use rtft_core::task::TaskId;
 use rtft_core::time::Duration;
 use rtft_ft::harness::ScenarioOutcome;
+pub use rtft_ft::recipe::OracleSkip;
+use rtft_ft::recipe::Recipe;
+use rtft_sim::fault::FaultPlan;
 use rtft_trace::TraceStats;
-
-/// Why a job was not checked against the WCRT bound.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum OracleSkip {
-    /// The platform charges overheads the analysis does not model.
-    Overheads,
-    /// The fault plan exceeds the admitted allowance (`Δmax > A`, or no
-    /// allowance exists) — the bound is not guaranteed there.
-    OutOfAllowance,
-    /// The inflated analysis failed (divergence past the allowance
-    /// search's own precision, or an analysis error).
-    Analysis(String),
-}
 
 /// One observed response above the certified bound — an analysis/sim
 /// disagreement, minimized to a replayable spec.
@@ -124,112 +120,46 @@ impl OracleOutcome {
     }
 }
 
-/// Largest positive injected delta of a plan (`ZERO` when fault-free or
-/// all-underrun).
-pub fn max_overrun(plan: &rtft_sim::fault::FaultPlan) -> Duration {
-    plan.entries()
-        .map(|(_, _, d)| d)
-        .filter(|d| d.is_positive())
-        .max()
-        .unwrap_or(Duration::ZERO)
+/// Largest positive injected delta of a plan — [`FaultPlan::max_overrun`].
+pub fn max_overrun(plan: &FaultPlan) -> Duration {
+    plan.max_overrun()
 }
 
 /// Run the oracle on one executed job. `session` must be the analysis
 /// session for the job's task set (its caches are reused and restored).
 pub fn check(job: &JobSpec, outcome: &ScenarioOutcome, session: &mut Analyzer) -> OracleOutcome {
-    if !job.platform.overheads.is_free() {
-        return OracleOutcome::Skipped(OracleSkip::Overheads);
-    }
-    let dmax = max_overrun(&job.faults);
-
-    let bounds = if dmax.is_zero() {
-        // Fault-free (or pure under-runs): the harness's baseline
-        // thresholds bound every response (WCRTs for the FP policies,
-        // deadlines for EDF).
-        outcome.analysis.wcrt.clone()
-    } else {
-        // In-allowance check: Δmax must be admitted by the (policy-
-        // aware) equitable allowance; the bound is then the threshold
-        // vector of the Δmax-inflated system.
-        let allowance = match session.equitable_allowance() {
-            Ok(Some(eq)) => eq.allowance,
-            Ok(None) => return OracleOutcome::Skipped(OracleSkip::OutOfAllowance),
-            Err(e) => return OracleOutcome::Skipped(OracleSkip::Analysis(e.to_string())),
-        };
-        if dmax > allowance {
-            return OracleOutcome::Skipped(OracleSkip::OutOfAllowance);
-        }
-        if job.policy == PolicyKind::Edf {
-            // Deadlines do not move under inflation; admitting Δmax
-            // means the inflated system stays demand-feasible, so the
-            // baseline deadline bounds keep holding.
-            outcome.analysis.wcrt.clone()
-        } else {
-            session.inflate_all(dmax);
-            let inflated = session.policy_thresholds();
-            session.reset_costs();
-            match inflated {
-                Ok(w) => w,
-                Err(e) => return OracleOutcome::Skipped(OracleSkip::Analysis(e.to_string())),
-            }
-        }
-    };
-
-    let violations = collect_violations(job, &outcome.stats, &bounds, dmax);
-    if violations.is_empty() {
-        let checked = outcome
-            .stats
-            .jobs()
-            .filter(|j| j.response().is_some())
-            .count();
-        OracleOutcome::Clean { checked }
-    } else {
-        OracleOutcome::Violated(violations)
-    }
+    check_with(job, outcome, session)
 }
 
 /// Run the oracle on one executed *global* job. `session` must be the
 /// global analysis session for the job's task set and core count.
 ///
-/// Same shape as [`check`], with the global sufficient-only twist: the
-/// global runner only ever executes systems the sufficient test
+/// The global runner only ever executes systems the sufficient test
 /// *proved*, so the bound is unconditionally certified for the jobs
 /// that run — an observed response above it is a hard analysis/sim
 /// disagreement, never expected pessimism. (Pessimism shows up
-/// upstream, as jobs that refuse to run at all.) The bounds mirror the
-/// runner's thresholds: the Δmax-inflated Bertogna–Cirinei fixed point
-/// under fixed-priority dispatch, the relative deadline under EDF and
-/// non-preemptive dispatch — wherever `Δmax` is admitted by the global
-/// equitable allowance, the inflated set passes the sufficient test,
-/// so those bounds hold for every completed job.
+/// upstream, as jobs that refuse to run at all.)
 pub fn check_global(
     job: &JobSpec,
     outcome: &ScenarioOutcome,
     session: &mut rtft_global::GlobalAnalyzer,
 ) -> OracleOutcome {
-    if !job.platform.overheads.is_free() {
-        return OracleOutcome::Skipped(OracleSkip::Overheads);
-    }
-    let dmax = max_overrun(&job.faults);
+    check_with(job, outcome, session)
+}
 
-    let bounds = if dmax.is_zero() {
-        // Fault-free (or pure under-runs): the runner's baseline stop
-        // bounds cover every response of the proven system.
-        outcome.analysis.wcrt.clone()
-    } else {
-        let allowance = match session.equitable_allowance() {
-            Some(a) => a,
-            None => return OracleOutcome::Skipped(OracleSkip::OutOfAllowance),
-        };
-        if dmax > allowance {
-            return OracleOutcome::Skipped(OracleSkip::OutOfAllowance);
-        }
-        // Δmax admitted: the Δmax-inflated set passes the sufficient
-        // test, so its stop bounds (inflated BC fixed points under FP,
-        // deadlines otherwise) hold unconditionally.
-        session.stop_thresholds_at(dmax)
+/// The one oracle body: certify the run's baseline at the plan's
+/// `Δmax`, then compare every completion against the bound.
+fn check_with(
+    job: &JobSpec,
+    outcome: &ScenarioOutcome,
+    session: &mut impl Recipe,
+) -> OracleOutcome {
+    let dmax = job.faults.max_overrun();
+    let overheads_free = job.platform.overheads.is_free();
+    let bounds = match session.certify(&outcome.analysis.wcrt, dmax, overheads_free) {
+        Ok(bounds) => bounds,
+        Err(skip) => return OracleOutcome::Skipped(skip),
     };
-
     let violations = collect_violations(job, &outcome.stats, &bounds, dmax);
     if violations.is_empty() {
         let checked = outcome

@@ -144,14 +144,15 @@ impl Duration {
     /// values (quantum 10 ms), the artifact behind the 1/2/3 ms detector
     /// delays of the paper's Figure 4.
     ///
+    /// Saturates at [`Duration::MAX`] when the rounded span does not fit.
+    ///
     /// # Panics
     /// Panics if `quantum` is not strictly positive or `self` is negative.
     #[must_use]
     pub fn round_up_to(self, quantum: Duration) -> Duration {
         assert!(quantum.0 > 0, "quantum must be positive");
         assert!(self.0 >= 0, "cannot quantize a negative span");
-        let q = quantum.0;
-        Duration((self.0 + q - 1) / q * q)
+        quantum.saturating_mul(self.div_ceil(quantum))
     }
 
     /// Round **down** to a multiple of `quantum`.
@@ -539,6 +540,31 @@ mod tests {
                 assert_eq!(
                     Duration::nanos(n).div_ceil(Duration::nanos(p)),
                     (n + p - 1) / p
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_up_saturates_near_i64_max() {
+        let max = i64::MAX;
+        let q = Duration::millis(10);
+        // The largest multiple of 10 ms still fits; one nanosecond past
+        // it does not, and saturates instead of wrapping negative.
+        let top = Duration::nanos(max / q.as_nanos() * q.as_nanos());
+        assert_eq!(top.round_up_to(q), top);
+        assert_eq!((top + Duration::NANO).round_up_to(q), Duration::MAX);
+        assert_eq!(Duration::MAX.round_up_to(q), Duration::MAX);
+        assert_eq!(Duration::MAX.round_up_to(Duration::NANO), Duration::MAX);
+        assert_eq!(Duration::MAX.round_up_to(Duration::MAX), Duration::MAX);
+        // i64::MAX = 7 · 1317624576693539401, exactly.
+        assert_eq!(Duration::MAX.round_up_to(Duration::nanos(7)), Duration::MAX);
+        // Agrees with the textbook form wherever that form cannot wrap.
+        for n in 0..50 {
+            for p in 1..12 {
+                assert_eq!(
+                    Duration::nanos(n).round_up_to(Duration::nanos(p)),
+                    Duration::nanos((n + p - 1) / p * p)
                 );
             }
         }

@@ -18,6 +18,7 @@
 
 use crate::detector::FtSupervisor;
 use crate::manager::AllowanceManager;
+use crate::recipe::Recipe;
 use crate::treatment::Treatment;
 use crate::verdict::Verdict;
 use rtft_core::analyzer::{Analyzer, AnalyzerBuilder};
@@ -282,47 +283,21 @@ fn run_scenario_sunk(
         sc.policy,
         "run_scenario_with: session and scenario disagree on the policy"
     );
-    // Admission gate under the scenario's policy (exact WCRT test for
-    // FP, WCRT-with-blocking for non-preemptive FP, processor-demand
-    // test for EDF), then the per-task detection thresholds: the WCRTs
-    // for the fixed-priority policies, the deadlines for EDF.
-    match session.is_feasible() {
-        Ok(true) => {}
-        Ok(false) => return Err(HarnessError::InfeasibleBase),
-        Err(e) => return Err(e.into()),
-    }
-    let wcrt = match session.policy_thresholds() {
-        Ok(w) => w,
-        Err(AnalysisError::Divergent { .. }) => return Err(HarnessError::InfeasibleBase),
-        Err(e) => return Err(e.into()),
-    };
-
-    let mut thresholds = Vec::new();
-    let mut equitable = None;
-    let mut manager = None;
-    let mut system_max = None;
-
-    match sc.treatment {
-        Treatment::NoDetection => {}
-        Treatment::DetectOnly | Treatment::ImmediateStop { .. } => {
-            thresholds = wcrt.clone();
-        }
-        Treatment::EquitableAllowance { .. } => {
-            let eq = session
-                .equitable_allowance()?
-                .ok_or(HarnessError::InfeasibleBase)?;
-            equitable = Some(eq.allowance);
-            thresholds = eq.inflated_wcrt;
-        }
-        Treatment::SystemAllowance { policy, .. } => {
-            let sa = session
+    // Admission gate and the thresholds the treatment arms (the one
+    // certification recipe); the system-allowance maxima feed only the
+    // live run's allowance manager.
+    let wcrt = session.baseline()?;
+    let (thresholds, equitable) = session.detection(sc.treatment, &wcrt)?;
+    let system_max = match sc.treatment {
+        Treatment::SystemAllowance { policy, .. } => Some(
+            session
                 .system_allowance_with(policy)?
-                .ok_or(HarnessError::InfeasibleBase)?;
-            thresholds = wcrt.clone();
-            manager = Some(AllowanceManager::new(sa.max_overrun.clone()));
-            system_max = Some(sa.max_overrun);
-        }
-    }
+                .ok_or(HarnessError::InfeasibleBase)?
+                .max_overrun,
+        ),
+        _ => None,
+    };
+    let manager = system_max.clone().map(AllowanceManager::new);
 
     let config = SimConfig::until(sc.horizon)
         .with_timer_model(sc.timer_model)
@@ -350,14 +325,6 @@ fn run_scenario_sunk(
 
     let stats = TraceStats::from_log(&log, Some(&sc.set));
     let verdict = Verdict::new(&sc.set, &stats);
-    let mut injected_faulty: Vec<rtft_core::task::TaskId> = sc
-        .faults
-        .entries()
-        .filter(|(_, _, d)| d.is_positive())
-        .map(|(t, _, _)| t)
-        .collect();
-    injected_faulty.sort_unstable();
-    injected_faulty.dedup();
     Ok(ScenarioOutcome {
         name: sc.name.clone(),
         log,
@@ -369,7 +336,7 @@ fn run_scenario_sunk(
             equitable,
             system_allowance: system_max,
         },
-        injected_faulty,
+        injected_faulty: sc.faults.overrun_tasks(),
     })
 }
 

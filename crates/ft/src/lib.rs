@@ -11,6 +11,8 @@
 //! * [`treatment`] — the paper's §4 policies: no detection, detect-only,
 //!   immediate stop, equitable allowance, system allowance;
 //! * [`manager`] — the §4.3 consumed-overrun ledger;
+//! * [`recipe`] — the one certification recipe: detector thresholds per
+//!   treatment and the Δmax-certified response bound;
 //! * [`harness`] — scenario runner regenerating the paper's Figures 3–7
 //!   and the ablation sweeps;
 //! * [`verdict`] — which tasks failed, and whether damage was confined to
@@ -63,6 +65,7 @@ pub mod detector;
 pub mod dynamic;
 pub mod harness;
 pub mod manager;
+pub mod recipe;
 pub mod treatment;
 pub mod underrun;
 pub mod verdict;

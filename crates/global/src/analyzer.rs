@@ -11,9 +11,12 @@
 //! means "unproven".
 
 use crate::bounds;
+use rtft_core::error::AnalysisError;
 use rtft_core::policy::PolicyKind;
 use rtft_core::task::TaskSet;
 use rtft_core::time::Duration;
+use rtft_ft::harness::HarnessError;
+use rtft_ft::recipe::Recipe;
 
 /// The memoized feasibility verdict of a global session.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -257,6 +260,41 @@ impl GlobalAnalyzer {
             }
         }
         Duration::nanos(lo)
+    }
+}
+
+/// The global flavour of the certification recipe: the sufficient test
+/// gates admission, and every threshold is a stop bound of
+/// [`GlobalAnalyzer::stop_thresholds_at`] — the Bertogna–Cirinei fixed
+/// point where it converges, the deadline elsewhere (always, under EDF
+/// and non-preemptive dispatch). Wherever `Δmax` is admitted by the
+/// global equitable allowance the inflated set passes the sufficient
+/// test, so its stop bounds hold for every completed job.
+impl Recipe for GlobalAnalyzer {
+    fn policy(&self) -> PolicyKind {
+        self.policy
+    }
+
+    fn baseline(&mut self) -> Result<Vec<Duration>, HarnessError> {
+        // Unproven systems never run.
+        if !self.is_feasible() {
+            return Err(HarnessError::InfeasibleBase);
+        }
+        Ok(self.stop_thresholds_at(Duration::ZERO))
+    }
+
+    fn allowance(&mut self) -> Result<Option<Duration>, AnalysisError> {
+        Ok(self.equitable_allowance())
+    }
+
+    fn equitable(&mut self) -> Result<Option<(Duration, Vec<Duration>)>, AnalysisError> {
+        Ok(self
+            .equitable_allowance()
+            .map(|a| (a, self.stop_thresholds_at(a))))
+    }
+
+    fn inflated(&mut self, dmax: Duration) -> Result<Vec<Duration>, AnalysisError> {
+        Ok(self.stop_thresholds_at(dmax))
     }
 }
 

@@ -1,9 +1,10 @@
 //! The global scenario runner: task set × fault plan × treatment →
 //! core-tagged trace, executed on the migrating engine.
 //!
-//! This mirrors `rtft_ft::harness::run_scenario_buffered` step for step
-//! — admission gate, treatment-derived detector thresholds, detector
-//! timer grid, supervised simulation, trace reduction — but drives the
+//! This follows `rtft_ft::harness::run_scenario_buffered` step for step
+//! — admission gate and treatment-derived detector thresholds (both from
+//! the one certification recipe, `rtft_ft::recipe`), detector timer
+//! grid, supervised simulation, trace reduction — but drives the
 //! [`GlobalSimulator`] (one shared
 //! wake queue, `m` core slots, free migration) and parameterizes the
 //! treatments from the sufficient-only [`GlobalAnalyzer`] instead of
@@ -36,6 +37,7 @@ use rtft_core::time::Duration;
 use rtft_ft::harness::{AnalysisSummary, HarnessError, Scenario, ScenarioOutcome};
 use rtft_ft::manager::AllowanceManager;
 use rtft_ft::prelude::{FtSupervisor, Treatment, Verdict};
+use rtft_ft::recipe::Recipe;
 use rtft_sim::engine::{SimBuffers, SimConfig};
 use rtft_sim::global::GlobalSimulator;
 use rtft_sim::sink::TraceSink;
@@ -144,46 +146,24 @@ fn run_global_sunk(
     );
     let cores = session.cores();
 
-    // Sufficient-only admission gate: unproven systems never run.
-    if !session.is_feasible() {
-        return Err(HarnessError::InfeasibleBase);
-    }
-    // Baseline stop bound per rank: the Bertogna–Cirinei fixed point
-    // where it converges, the deadline elsewhere (always the deadline
-    // under EDF). This plays the role the exact WCRT plays on one core.
-    let wcrt = session.stop_thresholds_at(Duration::ZERO);
-
-    let mut thresholds = Vec::new();
-    let mut equitable = None;
-    let mut manager = None;
-    let mut system_max = None;
-
-    match sc.treatment {
-        Treatment::NoDetection => {}
-        Treatment::DetectOnly | Treatment::ImmediateStop { .. } => {
-            thresholds = wcrt.clone();
-        }
-        Treatment::EquitableAllowance { .. } => {
-            let eq = session
-                .equitable_allowance()
-                .ok_or(HarnessError::InfeasibleBase)?;
-            equitable = Some(eq);
-            thresholds = session.stop_thresholds_at(eq);
-        }
-        // SlackPolicy is intentionally ignored (see the module doc):
-        // the global interference bound charges an overrun against all
-        // lower-priority work system-wide, so protect-all is the only
-        // sound grant policy.
-        Treatment::SystemAllowance { .. } => {
-            let maxima: Option<Vec<Duration>> = (0..sc.set.len())
+    // Sufficient-only admission gate and the thresholds the treatment
+    // arms (the one certification recipe, see the `Recipe` impl).
+    let wcrt = session.baseline()?;
+    let (thresholds, equitable) = session.detection(sc.treatment, &wcrt)?;
+    // SlackPolicy is intentionally ignored (see the module doc): the
+    // global interference bound charges an overrun against all
+    // lower-priority work system-wide, so protect-all is the only sound
+    // grant policy.
+    let system_max = match sc.treatment {
+        Treatment::SystemAllowance { .. } => Some(
+            (0..sc.set.len())
                 .map(|rank| session.max_single_overrun(rank))
-                .collect();
-            let maxima = maxima.ok_or(HarnessError::InfeasibleBase)?;
-            thresholds = wcrt.clone();
-            manager = Some(AllowanceManager::new(maxima.clone()));
-            system_max = Some(maxima);
-        }
-    }
+                .collect::<Option<Vec<Duration>>>()
+                .ok_or(HarnessError::InfeasibleBase)?,
+        ),
+        _ => None,
+    };
+    let manager = system_max.clone().map(AllowanceManager::new);
 
     let config = SimConfig::until(sc.horizon)
         .with_timer_model(sc.timer_model)
@@ -216,14 +196,6 @@ fn run_global_sunk(
     let merged_hash = merged_content_hash(&refs);
     let stats = TraceStats::from_log(&log, Some(&sc.set));
     let verdict = Verdict::new(&sc.set, &stats);
-    let mut injected_faulty: Vec<rtft_core::task::TaskId> = sc
-        .faults
-        .entries()
-        .filter(|(_, _, d)| d.is_positive())
-        .map(|(t, _, _)| t)
-        .collect();
-    injected_faulty.sort_unstable();
-    injected_faulty.dedup();
     Ok(GlobalOutcome {
         outcome: ScenarioOutcome {
             name: sc.name.clone(),
@@ -236,7 +208,7 @@ fn run_global_sunk(
                 equitable,
                 system_allowance: system_max,
             },
-            injected_faulty,
+            injected_faulty: sc.faults.overrun_tasks(),
         },
         cores,
         merged_hash,

@@ -1,30 +1,26 @@
 //! Resolving the thresholds a trace must respect.
 //!
-//! Replay asks the analysis plane the same questions the execution
-//! stack asked before the run: the detector thresholds the treatment
-//! prescribed (the harness recipe) and the certified response bound the
-//! differential oracle would check completions against (the
-//! `rtft_campaign::oracle` recipe, including its out-of-allowance
-//! skip). Both are resolved **per task**, so the stepping checker never
-//! cares which placement produced an event — a partitioned job simply
-//! resolves each core's subset through its own session, exactly as the
-//! multicore runner built one session per core.
+//! Replay asks the one certification recipe ([`rtft_ft::recipe::Recipe`])
+//! the runners arm their detectors from and the campaign oracle certifies
+//! with: the detector thresholds the treatment armed and the certified
+//! response bound, including the out-of-allowance skip. Both are resolved
+//! **per task**, so the stepping checker never cares which placement
+//! produced an event — a partitioned job resolves each core's subset
+//! through its own session, exactly as the multicore runner does.
 
 use crate::ReplayError;
-use rtft_campaign::oracle::max_overrun;
 use rtft_campaign::JobSpec;
 use rtft_core::analyzer::Analyzer;
-use rtft_core::policy::PolicyKind;
 use rtft_core::query::Placement;
 use rtft_core::task::{TaskId, TaskSet};
 use rtft_core::time::Duration;
-use rtft_ft::treatment::Treatment;
-use rtft_sim::fault::FaultPlan;
-use rtft_sim::timer::TimerModel;
+use rtft_ft::harness::HarnessError;
+use rtft_ft::recipe::{OracleSkip, Recipe};
+use rtft_global::GlobalAnalyzer;
 use std::collections::BTreeMap;
 
 /// Whether completions can be held to a certified response bound — the
-/// oracle's applicability verdict, mirrored.
+/// oracle's applicability verdict.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Certification {
     /// Every completion must respond within the Δmax-inflated bound.
@@ -54,9 +50,7 @@ impl Certification {
 impl std::fmt::Display for Certification {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Certification::Certified { dmax } => {
-                write!(f, "certified at Δmax = {dmax}")
-            }
+            Certification::Certified { dmax } => write!(f, "certified at Δmax = {dmax}"),
             Certification::Uncertified { dmax, reason } => {
                 write!(f, "uncertified (Δmax = {dmax}: {reason})")
             }
@@ -69,7 +63,7 @@ impl std::fmt::Display for Certification {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TaskBounds {
     /// Detection threshold the treatment configured (`None` under
-    /// [`Treatment::NoDetection`]).
+    /// [`NoDetection`](rtft_ft::treatment::Treatment::NoDetection)).
     pub threshold: Option<Duration>,
     /// Quantization delay of this task's detector line: its first fire
     /// is rounded up to the platform's timer grid, subsequent fires
@@ -113,261 +107,79 @@ impl ReplayBounds {
 /// infeasible system never ran, so no honest trace of it exists), the
 /// allocator finds no partition, or an analysis query fails.
 pub fn resolve_bounds(job: &JobSpec) -> Result<ReplayBounds, ReplayError> {
-    let overheads_free = job.platform.overheads.is_free();
-    let timer = job.platform.timer;
-    let stops = job.treatment.stops_faulty_tasks();
-
-    if job.cores <= 1 {
-        let dmax = max_overrun(&job.faults);
-        let (per_task, certification) = set_bounds(
-            &job.set,
-            job.policy,
-            job.treatment,
-            timer,
-            dmax,
-            overheads_free,
-        )?;
-        return Ok(ReplayBounds {
-            per_task,
-            certification,
-            stops,
-        });
-    }
-
-    match job.placement {
-        Placement::Global => global_bounds(job, overheads_free, timer, stops),
-        Placement::Partitioned => partitioned_bounds(job, overheads_free, timer, stops),
-    }
-}
-
-/// The uniprocessor recipe over one (sub)set — also each partitioned
-/// core's recipe, with the core's own Δmax.
-fn set_bounds(
-    set: &TaskSet,
-    policy: PolicyKind,
-    treatment: Treatment,
-    timer: TimerModel,
-    dmax: Duration,
-    overheads_free: bool,
-) -> Result<(BTreeMap<TaskId, TaskBounds>, Certification), ReplayError> {
-    let analysis = |e: &dyn std::fmt::Display| ReplayError::Analysis(e.to_string());
-    let mut session = Analyzer::for_policy(set, policy);
-    match session.is_feasible() {
-        Ok(true) => {}
-        Ok(false) => {
-            return Err(ReplayError::Analysis(
-                "base system is not feasible — it cannot have produced a trace".into(),
-            ))
-        }
-        Err(e) => return Err(analysis(&e)),
-    }
-    let wcrt = session.policy_thresholds().map_err(|e| analysis(&e))?;
-
-    // The detection thresholds the treatment configured — the harness
-    // recipe, verbatim.
-    let thresholds: Option<Vec<Duration>> = match treatment {
-        Treatment::NoDetection => None,
-        Treatment::DetectOnly
-        | Treatment::ImmediateStop { .. }
-        | Treatment::SystemAllowance { .. } => Some(wcrt.clone()),
-        Treatment::EquitableAllowance { .. } => Some(
-            session
-                .equitable_allowance()
-                .map_err(|e| analysis(&e))?
-                .ok_or_else(|| {
-                    ReplayError::Analysis("the set admits no equitable allowance".into())
-                })?
-                .inflated_wcrt,
-        ),
-    };
-
-    // The certified response bound — the differential oracle's recipe,
-    // including its out-of-allowance skip.
-    let (certified, certification): (Option<Vec<Duration>>, Certification) = if !overheads_free {
-        (None, Certification::Overheads)
-    } else if dmax.is_zero() {
-        (Some(wcrt.clone()), Certification::Certified { dmax })
-    } else {
-        match session.equitable_allowance() {
-            Ok(Some(eq)) if dmax <= eq.allowance => {
-                if policy == PolicyKind::Edf {
-                    // Deadlines do not move under inflation.
-                    (Some(wcrt.clone()), Certification::Certified { dmax })
-                } else {
-                    session.inflate_all(dmax);
-                    let inflated = session.policy_thresholds();
-                    session.reset_costs();
-                    match inflated {
-                        Ok(w) => (Some(w), Certification::Certified { dmax }),
-                        Err(e) => (
-                            None,
-                            Certification::Uncertified {
-                                dmax,
-                                reason: e.to_string(),
-                            },
-                        ),
-                    }
-                }
-            }
-            Ok(_) => (
-                None,
-                Certification::Uncertified {
-                    dmax,
-                    reason: "fault plan exceeds the admitted allowance".into(),
-                },
-            ),
-            Err(e) => (
-                None,
-                Certification::Uncertified {
-                    dmax,
-                    reason: e.to_string(),
-                },
-            ),
-        }
-    };
-
-    let per_task = (0..set.len())
-        .map(|rank| {
-            let spec = set.by_rank(rank);
-            let threshold = thresholds.as_ref().map(|t| t[rank]);
-            (
-                spec.id,
-                TaskBounds {
-                    threshold,
-                    detect_delay: threshold
-                        .map(|t| timer.delay(spec.offset + t))
-                        .unwrap_or(Duration::ZERO),
-                    certified: certified.as_ref().map(|c| c[rank]),
-                },
-            )
-        })
-        .collect();
-    Ok((per_task, certification))
-}
-
-fn partitioned_bounds(
-    job: &JobSpec,
-    overheads_free: bool,
-    timer: TimerModel,
-    stops: bool,
-) -> Result<ReplayBounds, ReplayError> {
-    let partition = rtft_part::alloc::allocate(&job.set, job.cores, job.policy, job.alloc)
-        .map_err(|e| ReplayError::Analysis(e.to_string()))?;
     let mut per_task = BTreeMap::new();
-    let mut certification: Option<Certification> = None;
-    let dmax_all = max_overrun(&job.faults);
-    for core in partition.occupied_cores() {
-        let subset = partition.core_set(core).expect("occupied core");
-        let dmax_core = core_dmax(&job.faults, &partition, core);
-        let (rows, cert) = set_bounds(
-            subset,
-            job.policy,
-            job.treatment,
-            timer,
-            dmax_core,
-            overheads_free,
-        )?;
-        per_task.extend(rows);
-        certification = Some(match (certification.take(), cert) {
-            (None, c) => c,
-            // The job-wide face is the worst core's, reported at the
-            // job-wide Δmax.
-            (Some(Certification::Overheads), _) | (_, Certification::Overheads) => {
-                Certification::Overheads
-            }
-            (Some(Certification::Uncertified { reason, .. }), _)
-            | (_, Certification::Uncertified { reason, .. }) => Certification::Uncertified {
-                dmax: dmax_all,
-                reason,
-            },
-            (Some(Certification::Certified { .. }), Certification::Certified { .. }) => {
-                Certification::Certified { dmax: dmax_all }
-            }
-        });
-    }
-    Ok(ReplayBounds {
-        per_task,
-        certification: certification.unwrap_or(Certification::Certified {
-            dmax: Duration::ZERO,
-        }),
-        stops,
-    })
-}
-
-/// Largest positive delta injected into tasks placed on `core`.
-fn core_dmax(faults: &FaultPlan, partition: &rtft_part::Partition, core: usize) -> Duration {
-    faults
-        .entries()
-        .filter(|(task, _, delta)| delta.is_positive() && partition.core_of(*task) == Some(core))
-        .map(|(_, _, delta)| delta)
-        .max()
-        .unwrap_or(Duration::ZERO)
-}
-
-fn global_bounds(
-    job: &JobSpec,
-    overheads_free: bool,
-    timer: TimerModel,
-    stops: bool,
-) -> Result<ReplayBounds, ReplayError> {
-    let mut session = rtft_global::GlobalAnalyzer::new((*job.set).clone(), job.cores, job.policy);
-    if !session.is_feasible() {
-        return Err(ReplayError::Analysis(
-            "the global sufficient test cannot prove the base system — it never ran".into(),
-        ));
-    }
-    let wcrt = session.stop_thresholds_at(Duration::ZERO);
-    let thresholds: Option<Vec<Duration>> = match job.treatment {
-        Treatment::NoDetection => None,
-        Treatment::DetectOnly
-        | Treatment::ImmediateStop { .. }
-        | Treatment::SystemAllowance { .. } => Some(wcrt.clone()),
-        Treatment::EquitableAllowance { .. } => {
-            let eq = session.equitable_allowance().ok_or_else(|| {
-                ReplayError::Analysis("the set admits no global equitable allowance".into())
-            })?;
-            Some(session.stop_thresholds_at(eq))
-        }
-    };
-    let dmax = max_overrun(&job.faults);
-    let (certified, certification): (Option<Vec<Duration>>, Certification) = if !overheads_free {
-        (None, Certification::Overheads)
-    } else if dmax.is_zero() {
-        (Some(wcrt.clone()), Certification::Certified { dmax })
+    let dmax = job.faults.max_overrun();
+    let skip = if job.cores <= 1 {
+        let mut session = Analyzer::for_policy(&job.set, job.policy);
+        task_bounds(&mut session, &job.set, job, dmax, &mut per_task)?
+    } else if job.placement == Placement::Global {
+        let mut session = GlobalAnalyzer::new((*job.set).clone(), job.cores, job.policy);
+        task_bounds(&mut session, &job.set, job, dmax, &mut per_task)?
     } else {
-        match session.equitable_allowance() {
-            Some(a) if dmax <= a => (
-                Some(session.stop_thresholds_at(dmax)),
-                Certification::Certified { dmax },
-            ),
-            _ => (
-                None,
-                Certification::Uncertified {
-                    dmax,
-                    reason: "fault plan exceeds the admitted allowance".into(),
-                },
-            ),
+        let partition = rtft_part::alloc::allocate(&job.set, job.cores, job.policy, job.alloc)
+            .map_err(|e| ReplayError::Analysis(e.to_string()))?;
+        let mut skip = None;
+        for core in partition.occupied_cores() {
+            let subset = partition.core_set(core).expect("occupied core");
+            let core_dmax = partition.core_faults(&job.faults, core).max_overrun();
+            let mut session = Analyzer::for_policy(subset, job.policy);
+            let core_skip = task_bounds(&mut session, subset, job, core_dmax, &mut per_task)?;
+            // The job-wide face is the first uncertified core's.
+            skip = skip.or(core_skip);
         }
+        skip
     };
-    let per_task = (0..job.set.len())
-        .map(|rank| {
-            let spec = job.set.by_rank(rank);
-            let threshold = thresholds.as_ref().map(|t| t[rank]);
-            (
-                spec.id,
-                TaskBounds {
-                    threshold,
-                    detect_delay: threshold
-                        .map(|t| timer.delay(spec.offset + t))
-                        .unwrap_or(Duration::ZERO),
-                    certified: certified.as_ref().map(|c| c[rank]),
-                },
-            )
-        })
-        .collect();
+    let certification = match skip {
+        None => Certification::Certified { dmax },
+        Some(OracleSkip::Overheads) => Certification::Overheads,
+        Some(reason) => Certification::Uncertified {
+            dmax,
+            reason: reason.to_string(),
+        },
+    };
     Ok(ReplayBounds {
         per_task,
         certification,
-        stops,
+        stops: job.treatment.stops_faulty_tasks(),
     })
+}
+
+/// One session's rows of `set` (thresholds, detection delay, Δmax
+/// certificate) into `per_task`; returns why certification was declined,
+/// if it was. The system-allowance search is never run.
+fn task_bounds(
+    session: &mut impl Recipe,
+    set: &TaskSet,
+    job: &JobSpec,
+    dmax: Duration,
+    per_task: &mut BTreeMap<TaskId, TaskBounds>,
+) -> Result<Option<OracleSkip>, ReplayError> {
+    // The runners refuse these jobs: no honest trace of them exists.
+    let refused = |e: HarnessError| {
+        ReplayError::Analysis(match e {
+            HarnessError::InfeasibleBase => {
+                "base system is not feasible — it cannot have produced a trace".into()
+            }
+            HarnessError::Analysis(e) => e.to_string(),
+        })
+    };
+    let baseline = session.baseline().map_err(refused)?;
+    let (thresholds, _) = session
+        .detection(job.treatment, &baseline)
+        .map_err(refused)?;
+    let certified = session.certify(&baseline, dmax, job.platform.overheads.is_free());
+    for (rank, spec) in set.tasks().iter().enumerate() {
+        let threshold = thresholds.get(rank).copied();
+        per_task.insert(
+            spec.id,
+            TaskBounds {
+                threshold,
+                detect_delay: threshold.map_or(Duration::ZERO, |t| {
+                    job.platform.timer.delay(spec.offset + t)
+                }),
+                certified: certified.as_ref().ok().map(|c| c[rank]),
+            },
+        );
+    }
+    Ok(certified.err())
 }

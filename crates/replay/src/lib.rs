@@ -3,8 +3,10 @@
 //! A saved [`TraceCapture`] is evidence of
 //! what a run *did*; the analyzer's thresholds are a contract for what
 //! any run *may* do. This crate steps a capture event-by-event against
-//! that contract — the same `policy_thresholds()` recipe the campaign
-//! oracle certifies jobs with — and reports the **first divergence**:
+//! that contract — the one certification recipe
+//! ([`rtft_ft::recipe::Recipe`]) the runners arm their detectors from and
+//! the campaign oracle certifies jobs with — and reports the **first
+//! divergence**:
 //!
 //! * a *missed threshold* (a completion past the certified response
 //!   bound, or past the quantized detection line with no `fault` event
@@ -141,4 +143,58 @@ pub fn spec_matches(capture: &TraceCapture, job: &JobSpec) -> Option<bool> {
         .header
         .as_ref()
         .map(|h| h.spec_hash == spec_hash(&job.system_spec()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rtft_core::error::AnalysisError;
+    use rtft_core::task::TaskId;
+    use rtft_core::time::Duration;
+
+    /// The certification face `rtft replay` prints in brackets after
+    /// the event count, for a paper-set job with `faults`, `shape` and
+    /// `platform`.
+    fn face(faults: &str, shape: &str, platform: &str) -> String {
+        let job = job_from_campaign(&format!(
+            "campaign face\nhorizon 1300ms\ntaskgen paper\nfaults {faults}\n{shape}\n\
+             treatment detect\nplatform {platform}\n"
+        ))
+        .unwrap();
+        resolve_bounds(&job).unwrap().certification.to_string()
+    }
+
+    #[test]
+    fn certification_faces_are_pinned() {
+        let in_allowance = "single task=1 job=5 overrun=11ms";
+        for shape in ["cores 1", "cores 2", "cores 2\nplacement global"] {
+            assert_eq!(
+                face(in_allowance, shape, "exact"),
+                "certified at Δmax = 11ms",
+                "{shape}"
+            );
+            assert_eq!(
+                face("paper", shape, "jrate"),
+                "uncertified (Δmax = 40ms: fault plan exceeds the admitted allowance)",
+                "{shape}"
+            );
+            assert_eq!(
+                face("paper", shape, "exact dispatch=1ms"),
+                "uncertified (charged overheads)",
+                "{shape}"
+            );
+        }
+        assert_eq!(face("none", "cores 1", "exact"), "certified at Δmax = 0ms");
+        // An inflated analysis that fails reports the analysis error
+        // itself as the reason.
+        let reason = AnalysisError::Divergent { task: TaskId(2) }.to_string();
+        assert_eq!(
+            Certification::Uncertified {
+                dmax: Duration::millis(5),
+                reason,
+            }
+            .to_string(),
+            "uncertified (Δmax = 5ms: response-time analysis diverges for τ2 (overload))"
+        );
+    }
 }

@@ -74,6 +74,29 @@ impl FaultPlan {
     pub fn entries(&self) -> impl Iterator<Item = (TaskId, u64, Duration)> + '_ {
         self.deltas.iter().map(|(&(t, j), &d)| (t, j, d))
     }
+
+    /// Tasks with at least one injected overrun, ascending.
+    pub fn overrun_tasks(&self) -> Vec<TaskId> {
+        let mut tasks: Vec<TaskId> = self
+            .entries()
+            .filter(|(_, _, d)| d.is_positive())
+            .map(|(t, _, _)| t)
+            .collect();
+        // Entries iterate in `(task, job)` order, so duplicates are adjacent.
+        tasks.dedup();
+        tasks
+    }
+
+    /// Largest positive injected delta — the plan's `Δmax` (`ZERO` when
+    /// fault-free or all-underrun).
+    pub fn max_overrun(&self) -> Duration {
+        self.deltas
+            .values()
+            .copied()
+            .filter(|d| d.is_positive())
+            .max()
+            .unwrap_or(Duration::ZERO)
+    }
 }
 
 /// Configuration of a random fault generator (for sweep and stress
@@ -145,6 +168,20 @@ mod tests {
         assert_eq!(plan.demand(&set(), TaskId(1), 5), ms(69));
         assert_eq!(plan.demand(&set(), TaskId(1), 0), ms(29));
         assert_eq!(plan.len(), 1);
+    }
+
+    #[test]
+    fn max_overrun_ignores_underruns() {
+        assert_eq!(FaultPlan::none().max_overrun(), Duration::ZERO);
+        let plan = FaultPlan::none()
+            .overrun(TaskId(1), 5, ms(11))
+            .overrun(TaskId(2), 1, ms(7))
+            .underrun(TaskId(2), 0, ms(20));
+        assert_eq!(plan.max_overrun(), ms(11));
+        assert_eq!(plan.overrun_tasks(), vec![TaskId(1), TaskId(2)]);
+        let under = FaultPlan::none().underrun(TaskId(2), 0, ms(9));
+        assert_eq!(under.max_overrun(), Duration::ZERO);
+        assert!(under.overrun_tasks().is_empty());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use proptest::prelude::*;
 use rtft_core::task::TaskId;
 use rtft_core::time::{Duration, Instant};
+use rtft_replay::Certification;
 use rtft_trace::{EventKind, TraceCapture, TraceLog};
 
 fn arb_event_kind() -> impl Strategy<Value = EventKind> {
@@ -127,7 +128,12 @@ proptest! {
             Just("none"), Just("detect"), Just("stop"), Just("equitable"), Just("system"),
         ],
         shape in prop_oneof![Just("cores 1"), Just("cores 2"), Just("cores 2\nplacement global")],
-        jrate in prop_oneof![Just(true), Just(false)],
+        // Fault-free, in allowance (A = 11 ms on the paper set under
+        // fp), and the paper's out-of-allowance 40 ms overrun.
+        faults in prop_oneof![
+            Just("none"), Just("single task=1 job=5 overrun=11ms"), Just("paper"),
+        ],
+        platform in prop_oneof![Just("exact"), Just("jrate"), Just("exact dispatch=1ms")],
     ) {
         // An honestly captured trace of any runnable job replays clean:
         // whatever the simulator did is exactly what the analysis plane
@@ -136,12 +142,11 @@ proptest! {
             "campaign clean-replay\n\
              horizon 1300ms\n\
              taskgen paper\n\
-             faults paper\n\
+             faults {faults}\n\
              policy {policy}\n\
              {shape}\n\
              treatment {treatment}\n\
-             platform {}\n",
-            if jrate { "jrate" } else { "exact" },
+             platform {platform}\n",
         );
         let job = rtft::replay::job_from_campaign(&spec).unwrap();
         let capture = match rtft::campaign::capture_job(&job) {
@@ -158,5 +163,36 @@ proptest! {
             report.divergence
         );
         prop_assert!(report.checked > 0);
+
+        // The oracle's verdict on the same job is replay's
+        // certification: checked exactly when certified, and a skip
+        // carries the reason replay prints.
+        let sc = job.scenario();
+        let oracle = if job.cores <= 1 {
+            rtft::campaign::run_single(&sc, true).unwrap().1
+        } else if job.placement == rtft::core::query::Placement::Global {
+            rtft::campaign::run_single_global(&sc, job.cores, true).unwrap().1
+        } else {
+            rtft::campaign::run_single_partitioned(&sc, job.cores, job.alloc, true)
+                .unwrap()
+                .1
+        };
+        prop_assert!(oracle.violations().is_empty(), "{:?}", oracle);
+        prop_assert_eq!(
+            oracle.was_checked(),
+            report.certification.is_certified(),
+            "{}/{}/{}/{}: oracle {:?} vs replay {}",
+            policy, treatment, shape, faults, oracle, report.certification
+        );
+        if let rtft::campaign::oracle::OracleOutcome::Skipped(skip) = &oracle {
+            let expected = match skip {
+                rtft::campaign::oracle::OracleSkip::Overheads => Certification::Overheads,
+                reason => Certification::Uncertified {
+                    dmax: job.faults.max_overrun(),
+                    reason: reason.to_string(),
+                },
+            };
+            prop_assert_eq!(&report.certification, &expected);
+        }
     }
 }
