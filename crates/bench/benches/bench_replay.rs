@@ -107,7 +107,8 @@ fn bench_replay(c: &mut Criterion) {
             let mut seen = 0u64;
             let mut sink = |_core: Option<usize>, _at, _kind| seen += 1;
             let out =
-                run_scenario_streamed(black_box(&sc), &mut session, &mut bufs, &mut sink).unwrap();
+                run_scenario_streamed(black_box(&sc), &mut session, &mut bufs, Some(&mut sink))
+                    .unwrap();
             black_box(seen);
             out
         })

@@ -7,28 +7,31 @@
 //! report is bit-identical no matter how many workers ran or how the
 //! chunks interleaved.
 //!
-//! Each worker keeps the analysis session of the placement it is
-//! currently inside — a uniprocessor [`Analyzer`] for 1-core jobs, a
-//! [`PartitionedAnalyzer`] (allocation included) for multicore ones; the
-//! expansion guarantees the jobs of one `(set, policy, cores, alloc)`
-//! tuple are contiguous, so a chunked scan re-analyses (and
-//! re-partitions) each placement at most once per worker that touches
-//! it.
+//! Each worker keeps the [`Workbench`] of the placement it is currently
+//! inside, keyed by the job's `set_ordinal`. The expansion guarantees
+//! the jobs of one `(set, policy, cores, placement, alloc)` tuple are
+//! contiguous, so a chunked scan analyses (and partitions) each
+//! placement at most once per worker that touches it.
+//!
+//! Every job takes one path, whatever its placement. The workbench
+//! runs it on the runner its spec calls for ([`Workbench::simulate`])
+//! and hands back one [`PlacedRun`]. The differential oracle then
+//! checks each part of that run against the part's own session: the
+//! whole run on one core or under global placement, each core's slice
+//! of a partitioned run. The parts fold into one digest. Lone runs
+//! ([`run_single`]) take the same body, and trace captures
+//! ([`capture_job`]) the same [`Workbench::simulate`].
 
 use crate::oracle::{self, OracleOutcome, OracleSkip};
 use crate::report::{CampaignReport, JobDigest, JobStatus};
-use crate::spec::{CampaignSpec, JobSpec, SpecError};
-use rtft_core::analyzer::Analyzer;
-use rtft_ft::harness::{run_scenario_buffered, run_scenario_with, HarnessError, ScenarioOutcome};
-use rtft_part::alloc::{allocate, AllocPolicy};
-use rtft_part::analyzer::PartitionedAnalyzer;
-use rtft_part::multicore::{
-    run_partitioned, run_partitioned_buffered, MulticoreError, MulticoreOutcome,
-};
-use rtft_part::workbench::Workbench;
+use crate::spec::{treatment_keyword, CampaignSpec, JobSpec, SpecError};
+use rtft_ft::harness::{HarnessError, ScenarioOutcome};
+use rtft_part::workbench::{PlacedRun, RunError, Workbench};
+use rtft_part::Partition;
 use rtft_sim::engine::SimBuffers;
-use rtft_trace::merge::fold_core_hashes;
-use rtft_trace::EventKind;
+use rtft_sim::sink::TraceSink;
+use rtft_trace::{EventKind, TraceCapture};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -149,11 +152,8 @@ pub fn run_campaign(spec: &CampaignSpec, cfg: &RunConfig) -> Result<CampaignRepo
 
 /// Execute one job and reduce it to a digest. `session` carries the
 /// worker's memoized [`Workbench`] keyed by the job's placement
-/// ordinal: the workbench owns exactly the analysis state the old
-/// per-worker session enum did — a plain uniprocessor session for
-/// 1-core jobs (the pre-multicore pipeline, bit for bit), per-core
-/// sessions over the allocator's partition otherwise, or the
-/// allocator's rejection diagnosed once, not once per job.
+/// ordinal, so each placement is analysed (or its allocator rejection
+/// diagnosed) once, not once per job.
 fn run_job(
     job: &JobSpec,
     oracle: bool,
@@ -185,120 +185,70 @@ pub fn digest_job_buffered(
     bench: &mut Workbench,
     bufs: &mut SimBuffers,
 ) -> JobDigest {
-    if let Some(diag) = bench.unplaceable() {
-        let status = JobStatus::Unplaceable(diag.to_string());
-        return empty_digest(job, status);
-    }
-    if let Some(analyzer) = bench.uni_session_mut() {
-        run_uni_job(job, oracle, analyzer, bufs)
-    } else if let Some(session) = bench.global_mut() {
-        run_global_job(job, oracle, session, bufs)
-    } else {
-        let sessions = bench.partitioned_mut().expect("multicore backend");
-        run_multicore_job(job, oracle, sessions, bufs)
-    }
-}
-
-/// The global job path: one migrating engine over the whole set, the
-/// digest reduced from the merged core-tagged trace. Only systems the
-/// global sufficient test proves ever run (unproven sets surface as
-/// [`JobStatus::InfeasibleBase`]), so the differential oracle's bound
-/// is unconditionally certified for every job that reaches it.
-fn run_global_job(
-    job: &JobSpec,
-    oracle: bool,
-    session: &mut rtft_global::GlobalAnalyzer,
-    bufs: &mut SimBuffers,
-) -> JobDigest {
-    let scenario = job.scenario();
-    match rtft_global::run_global_buffered(&scenario, session, bufs) {
-        Ok(global) => {
-            let oracle_outcome = if oracle {
-                oracle::check_global(job, &global.outcome, session)
-            } else {
-                OracleOutcome::NotRun
-            };
-            // The flat log hash is worker-count-stable already, but the
-            // merged core-tagged hash is what a partitioned run of the
-            // same cell reports — keep the column comparable.
-            let digest = digest_outcome(job, &global.outcome, oracle_outcome, global.merged_hash);
-            bufs.recycle_log(global.outcome.log);
-            digest
-        }
-        Err(HarnessError::InfeasibleBase) => empty_digest(job, JobStatus::InfeasibleBase),
-        Err(HarnessError::Analysis(e)) => {
-            empty_digest(job, JobStatus::AnalysisError(e.to_string()))
-        }
-    }
-}
-
-/// The uniprocessor job path — unchanged from the single-core engine, so
-/// `cores = 1` traces stay bit-identical to the pre-multicore pipeline.
-fn run_uni_job(
-    job: &JobSpec,
-    oracle: bool,
-    analyzer: &mut Analyzer,
-    bufs: &mut SimBuffers,
-) -> JobDigest {
-    let scenario = job.scenario();
-    match run_scenario_buffered(&scenario, analyzer, bufs) {
-        Ok(outcome) => {
-            let oracle_outcome = if oracle {
-                oracle::check(job, &outcome, analyzer)
-            } else {
-                OracleOutcome::NotRun
-            };
-            let trace_hash = outcome.log.content_hash();
-            let digest = digest_outcome(job, &outcome, oracle_outcome, trace_hash);
+    match run_checked(job, oracle, bench, bufs) {
+        Ok((run, digest)) => {
             // The trace served its purpose; hand the allocation back.
-            bufs.recycle_log(outcome.log);
+            run.recycle(bufs);
             digest
         }
-        Err(HarnessError::InfeasibleBase) => empty_digest(job, JobStatus::InfeasibleBase),
-        Err(HarnessError::Analysis(e)) => {
+        Err(RunError::Unplaceable(diag)) => empty_digest(job, JobStatus::Unplaceable(diag)),
+        Err(RunError::Harness(HarnessError::InfeasibleBase)) => {
+            empty_digest(job, JobStatus::InfeasibleBase)
+        }
+        Err(RunError::Harness(HarnessError::Analysis(e))) => {
             empty_digest(job, JobStatus::AnalysisError(e.to_string()))
         }
     }
+}
+
+/// The one job body: run `job` on `bench`, check every part of the run
+/// against the differential oracle when `oracle` is set, and fold the
+/// parts into the job's digest. The run comes back alongside, for the
+/// caller to render or recycle.
+fn run_checked(
+    job: &JobSpec,
+    oracle: bool,
+    bench: &mut Workbench,
+    bufs: &mut SimBuffers,
+) -> Result<(PlacedRun, JobDigest), RunError> {
+    let run = bench.simulate(&job.scenario(), bufs, None)?;
+    let mut digest = empty_digest(job, JobStatus::Ran);
+    digest.trace_hash = run.trace_hash();
+    digest.failed_tasks = run.failed_tasks();
+    digest.collateral = run.collateral_failures();
+    let mut verdicts = Vec::new();
+    for (core, outcome) in run.parts() {
+        // A core's slice is checked and tallied as a standalone 1-core
+        // job, so a violation minimizes to a single-core repro spec.
+        let part = match core {
+            Some(core) => Cow::Owned(core_job(
+                job,
+                bench.partition().expect("a core part runs on a partition"),
+                core,
+            )),
+            None => Cow::Borrowed(job),
+        };
+        if oracle {
+            let session = bench.recipe_mut(core).expect("the part's own session");
+            verdicts.push(oracle::check_part(&part, outcome, session));
+        }
+        tally(&mut digest, &part, outcome);
+    }
+    digest.oracle = merge_oracle(verdicts);
+    Ok((run, digest))
 }
 
 /// The `cores`-restriction of a job: the core's subset and fault slice
-/// as a standalone 1-core job spec. The detectors, the digest reduction
-/// and the differential oracle then apply to the core *unchanged* — and
-/// an oracle violation minimizes to a single-core repro spec.
-fn core_job(job: &JobSpec, sessions: &PartitionedAnalyzer, core: usize) -> JobSpec {
-    let partition = sessions.partition();
-    let set = partition.core_set(core).expect("occupied core").clone();
-    let faults = partition.core_faults(&job.faults, core);
+/// as a standalone 1-core job spec.
+fn core_job(job: &JobSpec, partition: &Partition, core: usize) -> JobSpec {
     JobSpec {
-        index: job.index,
-        set_ordinal: job.set_ordinal,
         set_label: rtft_part::multicore::core_label(&job.set_label, core),
-        set: Arc::new(set),
-        policy: job.policy,
+        set: Arc::new(partition.core_set(core).expect("occupied core").clone()),
         cores: 1,
         placement: rtft_core::query::Placement::Partitioned,
-        alloc: job.alloc,
-        fault_label: job.fault_label.clone(),
-        faults,
-        treatment: job.treatment,
-        platform: job.platform,
-        horizon: job.horizon,
+        faults: partition.core_faults(&job.faults, core),
+        ..job.clone()
     }
-}
-
-/// Run the differential oracle on one core's slice of a job (`cjob`
-/// from [`core_job`]) against the core's memoized session — the single
-/// per-core check behind both the campaign path and
-/// [`run_single_partitioned`].
-fn check_core_oracle(
-    cjob: &JobSpec,
-    sessions: &mut PartitionedAnalyzer,
-    run: &rtft_part::multicore::CoreOutcome,
-) -> OracleOutcome {
-    let session = sessions
-        .core_session_mut(run.core)
-        .expect("occupied core has a session");
-    oracle::check(cjob, &run.outcome, session)
 }
 
 /// Fold per-core oracle outcomes into the job's verdict: any violation
@@ -337,130 +287,35 @@ fn merge_oracle(outcomes: Vec<OracleOutcome>) -> OracleOutcome {
     }
 }
 
-/// The multicore job path: one engine per occupied core over the
-/// memoized partition, each core digested by the unchanged single-core
-/// reduction, the digests folded into one job record whose trace hash is
-/// the merged core-tagged hash.
-fn run_multicore_job(
-    job: &JobSpec,
-    oracle: bool,
-    sessions: &mut PartitionedAnalyzer,
-    bufs: &mut SimBuffers,
-) -> JobDigest {
-    let scenario = job.scenario();
-    let multi: MulticoreOutcome = match run_partitioned_buffered(&scenario, sessions, bufs) {
-        Ok(m) => m,
-        Err(HarnessError::InfeasibleBase) => return empty_digest(job, JobStatus::InfeasibleBase),
-        Err(HarnessError::Analysis(e)) => {
-            return empty_digest(job, JobStatus::AnalysisError(e.to_string()))
-        }
-    };
-    // Each core's log is hashed once: the hash goes into the core's
-    // digest and is folded into the merged core-tagged hash.
-    let core_hashes: Vec<(usize, u64)> = multi
-        .cores
-        .iter()
-        .map(|run| (run.core, run.outcome.log.content_hash()))
-        .collect();
-    let mut digest = empty_digest(job, JobStatus::Ran);
-    digest.trace_hash = fold_core_hashes(core_hashes.iter().copied());
-    let mut oracle_outcomes = Vec::with_capacity(multi.cores.len());
-    for (run, &(_, core_hash)) in multi.cores.iter().zip(&core_hashes) {
-        let cjob = core_job(job, sessions, run.core);
-        let core_oracle = if oracle {
-            check_core_oracle(&cjob, sessions, run)
-        } else {
-            OracleOutcome::NotRun
-        };
-        let part = digest_outcome(&cjob, &run.outcome, core_oracle, core_hash);
-        digest.released += part.released;
-        digest.completed += part.completed;
-        digest.missed += part.missed;
-        digest.stopped += part.stopped;
-        digest.faults_flagged += part.faults_flagged;
-        digest.detector_fires += part.detector_fires;
-        digest.failed_tasks.extend(part.failed_tasks);
-        digest.collateral.extend(part.collateral);
-        digest.detector_latencies.extend(part.detector_latencies);
-        oracle_outcomes.push(part.oracle);
-    }
-    digest.failed_tasks.sort_unstable();
-    digest.collateral.sort_unstable();
-    digest.oracle = merge_oracle(oracle_outcomes);
-    // Recycle the largest core trace for the next job.
-    if let Some(log) = multi
-        .cores
-        .into_iter()
-        .map(|c| c.outcome.log)
-        .max_by_key(rtft_trace::TraceLog::len)
-    {
-        bufs.recycle_log(log);
-    }
-    digest
-}
-
-/// Reduce one run to its digest. `trace_hash` comes from the caller,
-/// which picks the hash domain (flat or merged core-tagged) and hashes
-/// each event exactly once.
-fn digest_outcome(
-    job: &JobSpec,
-    outcome: &ScenarioOutcome,
-    oracle: OracleOutcome,
-    trace_hash: u64,
-) -> JobDigest {
-    let mut released = 0;
-    let mut completed = 0;
-    let mut missed = 0;
-    let mut stopped = 0;
-    let mut faults_flagged = 0;
+/// Add one part's counts and detector latencies to `digest`. `part` is
+/// the job slice the outcome ran: its ranks index the outcome's
+/// thresholds.
+fn tally(digest: &mut JobDigest, part: &JobSpec, outcome: &ScenarioOutcome) {
     for (_, s) in outcome.stats.summaries() {
-        released += s.released;
-        completed += s.completed;
-        missed += s.missed;
-        stopped += s.stopped;
-        faults_flagged += s.faults;
+        digest.released += s.released;
+        digest.completed += s.completed;
+        digest.missed += s.missed;
+        digest.stopped += s.stopped;
+        digest.faults_flagged += s.faults;
     }
-    let detector_fires = outcome
+    digest.detector_fires += outcome
         .log
         .count(|e| matches!(e.kind, EventKind::DetectorRelease { .. }));
     // Detection latency: how far past `release + threshold` the flag
     // landed (the timer-quantization delay the paper measures).
-    let mut detector_latencies = Vec::new();
     if !outcome.analysis.thresholds.is_empty() {
         for (task, flagged_job, at) in outcome.log.faults() {
             let (Some(rank), Some(release)) = (
-                job.set.rank_of(task),
+                part.set.rank_of(task),
                 outcome.log.job_release(task, flagged_job),
             ) else {
                 continue;
             };
             let lag = at - (release + outcome.analysis.thresholds[rank]);
             if !lag.is_negative() {
-                detector_latencies.push(lag);
+                digest.detector_latencies.push(lag);
             }
         }
-    }
-    JobDigest {
-        index: job.index,
-        set_label: job.set_label.clone(),
-        policy: job.policy.label(),
-        cores: job.cores,
-        alloc: job.alloc.label(),
-        fault_label: job.fault_label.clone(),
-        treatment: job.treatment.name(),
-        platform: job.platform.label(),
-        status: JobStatus::Ran,
-        trace_hash,
-        released,
-        completed,
-        missed,
-        stopped,
-        faults_flagged,
-        detector_fires,
-        failed_tasks: outcome.verdict.failed_tasks(),
-        collateral: outcome.collateral_failures(),
-        detector_latencies,
-        oracle,
     }
 }
 
@@ -489,212 +344,66 @@ fn empty_digest(job: &JobSpec, status: JobStatus) -> JobDigest {
     }
 }
 
-/// Run one scenario through the campaign job path — the single-scenario
-/// entry the CLI's `run` command and the harness tests delegate to, so a
-/// lone run and a campaign job are the same code.
-pub fn run_single(
-    sc: &rtft_ft::harness::Scenario,
-    oracle: bool,
-) -> Result<(ScenarioOutcome, OracleOutcome), HarnessError> {
-    let job = single_job_spec(sc, 1, AllocPolicy::FirstFitDecreasing);
+/// A lone job run by [`run_single`].
+pub struct SingleRun {
+    /// The workbench the job was placed on (its spec and partition).
+    pub bench: Workbench,
+    /// The run itself.
+    pub run: PlacedRun,
+    /// The differential oracle's verdict over every part of the run.
+    pub oracle: OracleOutcome,
+}
+
+/// Run one job through the campaign job body on a fresh workbench —
+/// the entry `rtft run` and the tests delegate to, so a lone run and a
+/// campaign job are the same code on every placement.
+///
+/// # Errors
+/// [`RunError`] when the job cannot run: no placement (the allocator's
+/// diagnostics), an infeasible base system or a failed analysis.
+pub fn run_single(job: &JobSpec, oracle: bool) -> Result<SingleRun, RunError> {
     let mut bench = Workbench::new(job.system_spec());
-    let analyzer = bench.uni_session_mut().expect("1-core spec");
-    let outcome = run_scenario_with(sc, analyzer)?;
-    let oracle_outcome = if oracle {
-        oracle::check(&job, &outcome, analyzer)
-    } else {
-        OracleOutcome::NotRun
-    };
-    Ok((outcome, oracle_outcome))
-}
-
-/// The one-job spec a lone scenario corresponds to in the grid.
-fn single_job_spec(sc: &rtft_ft::harness::Scenario, cores: usize, alloc: AllocPolicy) -> JobSpec {
-    JobSpec {
-        index: 0,
-        set_ordinal: 0,
-        set_label: sc.name.clone(),
-        set: Arc::new(sc.set.clone()),
-        policy: sc.policy,
-        cores,
-        placement: rtft_core::query::Placement::Partitioned,
-        alloc,
-        fault_label: "explicit".to_string(),
-        faults: sc.faults.clone(),
-        treatment: sc.treatment,
-        platform: crate::spec::PlatformSpec {
-            timer: sc.timer_model,
-            stop: sc.stop_model,
-            overheads: sc.overheads,
-        },
-        horizon: sc.horizon,
-    }
-}
-
-/// Run one scenario partitioned over `cores` by `alloc` — the multicore
-/// counterpart of [`run_single`], used by `rtft run --cores`. Returns
-/// the per-core outcomes, the merged per-core oracle verdict, and the
-/// partition the run used (so callers never re-derive the placement).
-///
-/// # Errors
-/// [`MulticoreError`] when the allocator finds no placement or a core
-/// fails its admission / treatment analysis.
-pub fn run_single_partitioned(
-    sc: &rtft_ft::harness::Scenario,
-    cores: usize,
-    alloc: AllocPolicy,
-    oracle: bool,
-) -> Result<(MulticoreOutcome, OracleOutcome, rtft_part::Partition), MulticoreError> {
-    let partition = allocate(&sc.set, cores, sc.policy, alloc)?;
-    let mut sessions = PartitionedAnalyzer::new(partition.clone(), sc.policy);
-    let multi = run_partitioned(sc, &mut sessions)?;
-    let job = single_job_spec(sc, cores, alloc);
-    let mut outcomes = Vec::with_capacity(multi.cores.len());
-    if oracle {
-        for run in &multi.cores {
-            let cjob = core_job(&job, &sessions, run.core);
-            outcomes.push(check_core_oracle(&cjob, &mut sessions, run));
-        }
-    }
-    Ok((multi, merge_oracle(outcomes), partition))
-}
-
-/// Run one scenario globally over `cores` migrating cores — the global
-/// counterpart of [`run_single_partitioned`], used by
-/// `rtft run --placement global`.
-///
-/// # Errors
-/// [`HarnessError::InfeasibleBase`] when the global sufficient test
-/// cannot prove the base system (unproven sets never run — see
-/// [`rtft_global::run_global_with`]).
-pub fn run_single_global(
-    sc: &rtft_ft::harness::Scenario,
-    cores: usize,
-    oracle: bool,
-) -> Result<(rtft_global::GlobalOutcome, OracleOutcome), HarnessError> {
-    let mut session = rtft_global::GlobalAnalyzer::new(sc.set.clone(), cores, sc.policy);
-    let global = rtft_global::run_global_with(sc, &mut session)?;
-    let mut job = single_job_spec(sc, cores, AllocPolicy::FirstFitDecreasing);
-    job.placement = rtft_core::query::Placement::Global;
-    let oracle_outcome = if oracle {
-        oracle::check_global(&job, &global.outcome, &mut session)
-    } else {
-        OracleOutcome::NotRun
-    };
-    Ok((global, oracle_outcome))
+    let (run, digest) = run_checked(job, oracle, &mut bench, &mut SimBuffers::new())?;
+    Ok(SingleRun {
+        bench,
+        run,
+        oracle: digest.oracle,
+    })
 }
 
 /// Re-run one job deterministically and capture its trace as an
-/// importable [`rtft_trace::TraceCapture`] — flat for uniprocessor
-/// jobs, core-tagged merged for partitioned and global multicore — with
-/// the provenance header (`spec-hash`, policy, placement, cores,
-/// treatment, content hash) that `rtft replay` verifies. Simulation is
-/// deterministic, so capturing the same job twice yields byte-identical
-/// renderings.
+/// importable [`TraceCapture`] — flat for uniprocessor jobs, core-tagged
+/// merged for partitioned and global multicore — with the provenance
+/// header (`spec-hash`, policy, placement, cores, treatment, content
+/// hash) that `rtft replay` verifies. Simulation is deterministic, so
+/// capturing the same job twice yields byte-identical renderings.
 ///
 /// # Errors
 /// A message when the job cannot run (infeasible base system, no
 /// partition).
-pub fn capture_job(job: &JobSpec) -> Result<rtft_trace::TraceCapture, String> {
-    use rtft_trace::{TraceCapture, TraceLog};
-    let sc = job.scenario();
-    let hash = rtft_core::query::spec_hash(&job.system_spec());
-    let policy = job.policy.label();
-    let kw = crate::spec::treatment_keyword(job.treatment);
-    if job.cores <= 1 {
-        let outcome = rtft_ft::harness::run_scenario(&sc).map_err(|e| e.to_string())?;
-        return Ok(TraceCapture::flat(hash, policy, kw, outcome.log));
-    }
-    match job.placement {
-        rtft_core::query::Placement::Global => {
-            let global = rtft_global::run_global(&sc, job.cores).map_err(|e| e.to_string())?;
-            let refs: Vec<(usize, &TraceLog)> =
-                global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
-            Ok(TraceCapture::merged(
-                hash, policy, "global", job.cores, kw, &refs,
-            ))
-        }
-        rtft_core::query::Placement::Partitioned => {
-            let partition =
-                allocate(&sc.set, job.cores, job.policy, job.alloc).map_err(|e| e.to_string())?;
-            let mut sessions = PartitionedAnalyzer::new(partition, job.policy);
-            let multi = run_partitioned(&sc, &mut sessions).map_err(|e| e.to_string())?;
-            Ok(TraceCapture::merged(
-                hash,
-                policy,
-                "partitioned",
-                job.cores,
-                kw,
-                &multi.logs(),
-            ))
-        }
-    }
+pub fn capture_job(job: &JobSpec) -> Result<TraceCapture, String> {
+    capture_job_streamed(job, &mut Workbench::new(job.system_spec()), None)
 }
 
-/// [`capture_job`], additionally feeding every recorded event to `sink`
-/// as the run produces it — the live path behind `rtft serve`'s
-/// streaming trace route. Execution events arrive tagged with their
-/// core (`None` on one core and for global platform-level events); the
-/// returned capture is byte-identical to [`capture_job`]'s.
+/// [`capture_job`] on a caller-held workbench over the job's
+/// [`system_spec`](JobSpec::system_spec), additionally feeding every
+/// recorded event to `sink` (when given) as the run produces it — the
+/// live path behind `rtft serve`'s streaming trace route. Execution
+/// events arrive tagged with their core (`None` on one core and for
+/// global platform-level events); the capture is byte-identical to
+/// [`capture_job`]'s.
 ///
 /// # Errors
 /// As [`capture_job`].
 pub fn capture_job_streamed(
     job: &JobSpec,
-    sink: &mut dyn rtft_sim::sink::TraceSink,
-) -> Result<rtft_trace::TraceCapture, String> {
-    use rtft_trace::{TraceCapture, TraceLog};
-    let sc = job.scenario();
-    let hash = rtft_core::query::spec_hash(&job.system_spec());
-    let policy = job.policy.label();
-    let kw = crate::spec::treatment_keyword(job.treatment);
-    if job.cores <= 1 {
-        let mut session = rtft_core::analyzer::AnalyzerBuilder::new(&sc.set)
-            .sched_policy(sc.policy)
-            .build();
-        let outcome = rtft_ft::harness::run_scenario_streamed(
-            &sc,
-            &mut session,
-            &mut SimBuffers::new(),
-            sink,
-        )
+    bench: &mut Workbench,
+    sink: Option<&mut dyn TraceSink>,
+) -> Result<TraceCapture, String> {
+    let run = bench
+        .simulate(&job.scenario(), &mut SimBuffers::new(), sink)
         .map_err(|e| e.to_string())?;
-        return Ok(TraceCapture::flat(hash, policy, kw, outcome.log));
-    }
-    match job.placement {
-        rtft_core::query::Placement::Global => {
-            let mut session =
-                rtft_global::GlobalAnalyzer::new(sc.set.clone(), job.cores, sc.policy);
-            let global =
-                rtft_global::run_global_streamed(&sc, &mut session, &mut SimBuffers::new(), sink)
-                    .map_err(|e| e.to_string())?;
-            let refs: Vec<(usize, &TraceLog)> =
-                global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
-            Ok(TraceCapture::merged(
-                hash, policy, "global", job.cores, kw, &refs,
-            ))
-        }
-        rtft_core::query::Placement::Partitioned => {
-            let partition =
-                allocate(&sc.set, job.cores, job.policy, job.alloc).map_err(|e| e.to_string())?;
-            let mut sessions = PartitionedAnalyzer::new(partition, job.policy);
-            let multi = rtft_part::multicore::run_partitioned_streamed(
-                &sc,
-                &mut sessions,
-                &mut SimBuffers::new(),
-                sink,
-            )
-            .map_err(|e| e.to_string())?;
-            Ok(TraceCapture::merged(
-                hash,
-                policy,
-                "partitioned",
-                job.cores,
-                kw,
-                &multi.logs(),
-            ))
-        }
-    }
+    Ok(run.capture(bench.spec(), treatment_keyword(job.treatment)))
 }
 
 /// Re-run the grid job an oracle violation names and capture its trace
@@ -707,7 +416,7 @@ pub fn capture_job_streamed(
 pub fn capture_violation(
     spec: &CampaignSpec,
     v: &crate::oracle::OracleViolation,
-) -> Result<rtft_trace::TraceCapture, String> {
+) -> Result<TraceCapture, String> {
     let jobs = spec.expand().map_err(|e| e.to_string())?;
     if v.job_index >= jobs.len() {
         return Err(format!(
@@ -781,10 +490,13 @@ platform jrate
     fn run_single_matches_the_harness() {
         let spec = parse_spec(PAPER_GRID).unwrap();
         let job = &spec.expand().unwrap()[4];
-        let (outcome, oracle) = run_single(&job.scenario(), true).unwrap();
+        let single = run_single(job, true).unwrap();
+        let PlacedRun::Uni(outcome) = &single.run else {
+            panic!("a 1-core job runs on the uniprocessor harness");
+        };
         let direct = rtft_ft::harness::run_scenario(&job.scenario()).unwrap();
         assert_eq!(outcome.log, direct.log);
-        assert!(!oracle.was_checked(), "40 ms is out of allowance");
+        assert!(!single.oracle.was_checked(), "40 ms is out of allowance");
     }
 
     #[test]
@@ -901,10 +613,13 @@ platform exact
     fn run_single_global_matches_the_campaign_path() {
         let spec = parse_spec(PLACEMENT_GRID).unwrap();
         let job = &spec.expand().unwrap()[1]; // the global cell
-        let (global, oracle) = run_single_global(&job.scenario(), job.cores, true).unwrap();
+        let single = run_single(job, true).unwrap();
+        let PlacedRun::Global(global) = &single.run else {
+            panic!("a global cell runs on the global runner");
+        };
         assert_eq!(global.cores, 2);
-        assert!(oracle.was_checked());
-        assert!(oracle.violations().is_empty());
+        assert!(single.oracle.was_checked());
+        assert!(single.oracle.violations().is_empty());
         let report = run_campaign(&spec, &RunConfig::sequential()).unwrap();
         assert_eq!(report.jobs[1].trace_hash, global.merged_hash);
     }
@@ -952,27 +667,35 @@ platform exact
     fn run_single_partitioned_matches_the_campaign_path() {
         let spec = parse_spec(HEAVY_GRID).unwrap();
         let job = &spec.expand().unwrap()[3]; // cores=2, ffd
-        let (multi, oracle, partition) =
-            run_single_partitioned(&job.scenario(), job.cores, job.alloc, true).unwrap();
-        assert_eq!(partition.cores(), 2);
+        let mut single = run_single(job, true).unwrap();
+        assert_eq!(single.bench.partition().unwrap().cores(), 2);
+        let PlacedRun::Partitioned(multi) = &single.run else {
+            panic!("a partitioned cell runs on the partitioned runner");
+        };
         assert_eq!(multi.cores.len(), 2);
-        assert!(oracle.was_checked());
-        assert!(oracle.violations().is_empty());
+        assert!(single.oracle.was_checked());
+        assert!(single.oracle.violations().is_empty());
         let report = run_campaign(&spec, &RunConfig::sequential()).unwrap();
         assert_eq!(report.jobs[3].trace_hash, multi.merged_hash());
     }
 
     #[test]
     fn unplaceable_sets_surface_the_allocator_diagnostics() {
-        let err = match run_single_partitioned(
-            &parse_spec(HEAVY_GRID).unwrap().expand().unwrap()[0].scenario(),
-            1,
-            AllocPolicy::FirstFitDecreasing,
-            false,
-        ) {
-            Err(MulticoreError::Alloc(e)) => e,
-            other => panic!("expected an allocation error, got {other:?}"),
+        // Three U = 0.6 tasks on two cores: the allocator rejects, and a
+        // lone run reports its own text.
+        let spec = parse_spec(
+            "horizon 500ms\ntask a 9 100ms 100ms 60ms\ntask b 8 100ms 100ms 60ms\n\
+             task c 7 100ms 100ms 60ms\ncores 2\ntreatment detect\n",
+        )
+        .unwrap();
+        let err = match run_single(&spec.expand().unwrap()[0], false) {
+            Err(RunError::Unplaceable(e)) => e,
+            Err(other) => panic!("expected an allocation error, got {other:?}"),
+            Ok(_) => panic!("expected an allocation error, got a run"),
         };
-        assert!(err.to_string().contains("cannot place"), "{err}");
+        assert!(err.contains("cannot place"), "{err}");
+        // The capture path surfaces the same text.
+        let job = &spec.expand().unwrap()[0];
+        assert_eq!(capture_job(job).unwrap_err(), err);
     }
 }

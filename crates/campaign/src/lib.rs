@@ -54,10 +54,10 @@ pub mod spec;
 
 pub use engine::{
     available_workers, capture_job, capture_job_streamed, capture_violation, digest_job,
-    run_campaign, run_single, run_single_global, run_single_partitioned, RunConfig,
+    run_campaign, run_single, RunConfig, SingleRun,
 };
 pub use report::{CampaignReport, JobDigest, JobStatus};
-pub use rtft_part::workbench::Workbench;
+pub use rtft_part::workbench::{PlacedRun, RunError, Workbench};
 pub use spec::{
     parse_spec, treatment_keyword, CampaignSpec, FaultSource, JobSpec, PlatformSpec, SetSource,
     SpecError,
@@ -65,9 +65,7 @@ pub use spec::{
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::engine::{
-        digest_job, run_campaign, run_single, run_single_global, run_single_partitioned, RunConfig,
-    };
+    pub use crate::engine::{digest_job, run_campaign, run_single, RunConfig, SingleRun};
     pub use crate::oracle::{OracleOutcome, OracleViolation};
     pub use crate::report::{CampaignReport, JobDigest, JobStatus};
     pub use crate::spec::{

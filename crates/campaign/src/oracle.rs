@@ -44,7 +44,8 @@
 //! — is [`Recipe::certify`], the one certification recipe the runners
 //! arm their detectors from and `rtft replay` checks traces against.
 //! [`check`] and [`check_global`] are the same body over the
-//! uniprocessor and the global session.
+//! uniprocessor and the global session; the campaign engine asks it
+//! with whichever session its workbench placed the run on.
 
 use crate::spec::JobSpec;
 use rtft_core::analyzer::Analyzer;
@@ -128,7 +129,7 @@ pub fn max_overrun(plan: &FaultPlan) -> Duration {
 /// Run the oracle on one executed job. `session` must be the analysis
 /// session for the job's task set (its caches are reused and restored).
 pub fn check(job: &JobSpec, outcome: &ScenarioOutcome, session: &mut Analyzer) -> OracleOutcome {
-    check_with(job, outcome, session)
+    check_part(job, outcome, session)
 }
 
 /// Run the oracle on one executed *global* job. `session` must be the
@@ -144,15 +145,17 @@ pub fn check_global(
     outcome: &ScenarioOutcome,
     session: &mut rtft_global::GlobalAnalyzer,
 ) -> OracleOutcome {
-    check_with(job, outcome, session)
+    check_part(job, outcome, session)
 }
 
 /// The one oracle body: certify the run's baseline at the plan's
-/// `Δmax`, then compare every completion against the bound.
-fn check_with(
+/// `Δmax`, then compare every completion against the bound. `session`
+/// is the analysis session behind the run (or behind one core's slice
+/// of a partitioned run, with `job` restricted to that core).
+pub(crate) fn check_part(
     job: &JobSpec,
     outcome: &ScenarioOutcome,
-    session: &mut impl Recipe,
+    session: &mut (impl Recipe + ?Sized),
 ) -> OracleOutcome {
     let dmax = job.faults.max_overrun();
     let overheads_free = job.platform.overheads.is_free();

@@ -7,13 +7,13 @@
 //! trace to verdicts — everything needed to regenerate the paper's
 //! Figures 3–7 and the ablation sweeps.
 //!
-//! [`run_scenario_with`] is the single execution path shared by every
-//! consumer: the `rtft-campaign` batch engine runs each grid job through
-//! it (one memoized [`Analyzer`] session per set instance), a lone
-//! scenario is just a one-job campaign (`rtft_campaign::run_single`),
-//! and a partitioned multiprocessor run (`rtft-part`) is one call per
-//! core — the core's subset, its fault slice, its own session — so a
-//! paper figure, a million-job sweep and a multicore run all exercise
+//! [`run_scenario_streamed`] is the single uniprocessor execution path:
+//! the `rtft-part` `Workbench` runs every 1-core job through it (one
+//! memoized [`Analyzer`] session per set instance) — campaign grid
+//! jobs, lone runs (`rtft_campaign::run_single`) and trace captures
+//! alike — and a partitioned multiprocessor run is one call per core
+//! (the core's subset, its fault slice, its own session), so a paper
+//! figure, a million-job sweep and a multicore run all exercise
 //! identical code.
 
 use crate::detector::FtSupervisor;
@@ -247,27 +247,19 @@ pub fn run_scenario_buffered(
     session: &mut Analyzer,
     bufs: &mut SimBuffers,
 ) -> Result<ScenarioOutcome, HarnessError> {
-    run_scenario_sunk(sc, session, bufs, None)
+    run_scenario_streamed(sc, session, bufs, None)
 }
 
 /// [`run_scenario_buffered`], additionally feeding every recorded event
-/// to `sink` as the simulation produces it (the live-streaming path of
-/// `rtft serve`; see [`rtft_sim::sink::TraceSink`]). The outcome — and
-/// its trace — is byte-identical to the unsunk run.
+/// to `sink` (when given) as the simulation produces it (the
+/// live-streaming path of `rtft serve`; see
+/// [`rtft_sim::sink::TraceSink`]). The outcome — and its trace — is
+/// byte-identical to the unsunk run.
 ///
 /// # Panics
 /// Panics if `session` analyses a different task set, or was built for
 /// a different scheduling policy, than the scenario.
 pub fn run_scenario_streamed(
-    sc: &Scenario,
-    session: &mut Analyzer,
-    bufs: &mut SimBuffers,
-    sink: &mut dyn TraceSink,
-) -> Result<ScenarioOutcome, HarnessError> {
-    run_scenario_sunk(sc, session, bufs, Some(sink))
-}
-
-fn run_scenario_sunk(
     sc: &Scenario,
     session: &mut Analyzer,
     bufs: &mut SimBuffers,

@@ -103,14 +103,14 @@ pub fn run_global_buffered(
     session: &mut GlobalAnalyzer,
     bufs: &mut SimBuffers,
 ) -> Result<GlobalOutcome, HarnessError> {
-    run_global_sunk(sc, session, bufs, None)
+    run_global_streamed(sc, session, bufs, None)
 }
 
 /// [`run_global_buffered`], additionally feeding every recorded event to
-/// `sink` as the simulation produces it: execution events arrive tagged
-/// with their executing core, platform-level events (releases, detector
-/// fires, `SimEnd`) with `None` — the same attribution
-/// [`GlobalSimulator::core_of`](rtft_sim::global::GlobalSimulator)
+/// `sink` (when given) as the simulation produces it: execution events
+/// arrive tagged with their executing core, platform-level events
+/// (releases, detector fires, `SimEnd`) with `None` — the same
+/// attribution [`GlobalSimulator::core_of`](rtft_sim::global::GlobalSimulator)
 /// persists in the core-tagged trace. The outcome is byte-identical to
 /// the unsunk run.
 ///
@@ -120,15 +120,6 @@ pub fn run_global_buffered(
 /// # Panics
 /// As [`run_global_with`].
 pub fn run_global_streamed(
-    sc: &Scenario,
-    session: &mut GlobalAnalyzer,
-    bufs: &mut SimBuffers,
-    sink: &mut dyn TraceSink,
-) -> Result<GlobalOutcome, HarnessError> {
-    run_global_sunk(sc, session, bufs, Some(sink))
-}
-
-fn run_global_sunk(
     sc: &Scenario,
     session: &mut GlobalAnalyzer,
     bufs: &mut SimBuffers,

@@ -65,15 +65,15 @@ pub mod workbench;
 
 pub use alloc::{allocate, AllocError, AllocPolicy};
 pub use analyzer::PartitionedAnalyzer;
-pub use multicore::{run_partitioned, CoreOutcome, MulticoreError, MulticoreOutcome};
+pub use multicore::{run_partitioned, CoreOutcome, MulticoreOutcome};
 pub use partition::Partition;
-pub use workbench::Workbench;
+pub use workbench::{PlacedRun, RunError, Workbench};
 
 /// One-stop imports.
 pub mod prelude {
     pub use crate::alloc::{allocate, AllocError, AllocPolicy};
     pub use crate::analyzer::PartitionedAnalyzer;
-    pub use crate::multicore::{run_partitioned, MulticoreError, MulticoreOutcome};
+    pub use crate::multicore::{run_partitioned, MulticoreOutcome};
     pub use crate::partition::Partition;
-    pub use crate::workbench::Workbench;
+    pub use crate::workbench::{PlacedRun, RunError, Workbench};
 }

@@ -15,12 +15,9 @@
 //! With a 1-core partition the core scenario *is* the input scenario, so
 //! the single trace is bit-for-bit the uniprocessor engine's output.
 
-use crate::alloc::AllocError;
 use crate::analyzer::PartitionedAnalyzer;
 use rtft_core::task::TaskId;
-use rtft_ft::harness::{
-    run_scenario_buffered, run_scenario_streamed, HarnessError, Scenario, ScenarioOutcome,
-};
+use rtft_ft::harness::{run_scenario_streamed, HarnessError, Scenario, ScenarioOutcome};
 use rtft_sim::engine::SimBuffers;
 use rtft_sim::sink::{CoreTag, TraceSink};
 use rtft_trace::merge::{merge_core_traces, merged_content_hash, CoreEvent};
@@ -90,38 +87,6 @@ impl MulticoreOutcome {
     }
 }
 
-/// Why a partitioned run could not happen.
-#[derive(Clone, PartialEq, Debug)]
-pub enum MulticoreError {
-    /// The allocator found no placement.
-    Alloc(AllocError),
-    /// A core failed its admission analysis or treatment derivation.
-    Harness(HarnessError),
-}
-
-impl std::fmt::Display for MulticoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MulticoreError::Alloc(e) => write!(f, "{e}"),
-            MulticoreError::Harness(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for MulticoreError {}
-
-impl From<AllocError> for MulticoreError {
-    fn from(e: AllocError) -> Self {
-        MulticoreError::Alloc(e)
-    }
-}
-
-impl From<HarnessError> for MulticoreError {
-    fn from(e: HarnessError) -> Self {
-        MulticoreError::Harness(e)
-    }
-}
-
 /// The label of one core's slice of a named run — the single format
 /// shared by per-core scenarios, campaign digests and repro specs.
 pub fn core_label(name: &str, core: usize) -> String {
@@ -186,11 +151,11 @@ pub fn run_partitioned_buffered(
     session: &mut PartitionedAnalyzer,
     bufs: &mut SimBuffers,
 ) -> Result<MulticoreOutcome, HarnessError> {
-    run_partitioned_sunk(sc, session, bufs, None)
+    run_partitioned_streamed(sc, session, bufs, None)
 }
 
 /// [`run_partitioned_buffered`], additionally feeding every recorded
-/// event to `sink`, tagged with its core (via
+/// event to `sink` (when given), tagged with its core (via
 /// [`rtft_sim::sink::CoreTag`]). Cores run sequentially, so the sink
 /// sees core 0's whole run, then core 1's, and so on — chronological
 /// *within* each core, exactly like the per-core logs the merge
@@ -202,15 +167,6 @@ pub fn run_partitioned_buffered(
 /// # Panics
 /// As [`run_partitioned`].
 pub fn run_partitioned_streamed(
-    sc: &Scenario,
-    session: &mut PartitionedAnalyzer,
-    bufs: &mut SimBuffers,
-    sink: &mut dyn TraceSink,
-) -> Result<MulticoreOutcome, HarnessError> {
-    run_partitioned_sunk(sc, session, bufs, Some(sink))
-}
-
-fn run_partitioned_sunk(
     sc: &Scenario,
     session: &mut PartitionedAnalyzer,
     bufs: &mut SimBuffers,
@@ -233,22 +189,13 @@ fn run_partitioned_sunk(
     let mut cores = Vec::with_capacity(occupied.len());
     for core in occupied {
         let csc = core_scenario(sc, session, core);
-        let outcome = match sink.as_mut() {
-            Some(s) => {
-                let mut tagged = CoreTag::new(core, *s);
-                run_scenario_streamed(
-                    &csc,
-                    session.core_session_mut(core).expect("occupied core"),
-                    bufs,
-                    &mut tagged,
-                )?
-            }
-            None => run_scenario_buffered(
-                &csc,
-                session.core_session_mut(core).expect("occupied core"),
-                bufs,
-            )?,
-        };
+        let mut tagged = sink.as_mut().map(|s| CoreTag::new(core, &mut **s));
+        let outcome = run_scenario_streamed(
+            &csc,
+            session.core_session_mut(core).expect("occupied core"),
+            bufs,
+            tagged.as_mut().map(|t| t as &mut dyn TraceSink),
+        )?;
         cores.push(CoreOutcome { core, outcome });
     }
     Ok(MulticoreOutcome {

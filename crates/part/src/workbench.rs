@@ -1,14 +1,25 @@
-//! The [`Workbench`]: one executor for the serializable query plane.
+//! The [`Workbench`]: the one place a [`SystemSpec`] meets its
+//! placement.
 //!
 //! [`rtft_core::query`] defines *what* can be asked — a
 //! [`SystemSpec`] plus [`Query`] values answered by typed
-//! [`Response`]s. This module owns *how*: a `Workbench` holds the
-//! memoized analysis state for one spec and dispatches automatically —
-//! a uniprocessor [`Analyzer`] session on one core, a per-core
-//! [`PartitionedAnalyzer`] (allocation included) on several — so
-//! callers never branch on platform. Campaign engine workers, the
-//! `rtft query` / `rtft analyze` commands and the benches all answer
-//! questions through this one type.
+//! [`Response`]s. A `Workbench` owns *how*: it picks the backend for
+//! its spec once, on first use — a uniprocessor [`Analyzer`] session on
+//! one core, a per-core [`PartitionedAnalyzer`] over the allocator's
+//! partition on several, a shared-queue [`GlobalAnalyzer`] under
+//! `placement global`, or the allocator's rejection — and every
+//! consumer goes through it, so callers never branch on platform:
+//!
+//! - **Queries.** [`Workbench::run`] and [`Workbench::run_batch`]
+//!   answer the query plane for `rtft query`, `rtft analyze`,
+//!   `rtft serve` and the benches.
+//! - **Runs.** [`Workbench::simulate`] runs a scenario on the runner
+//!   that matches the backend and returns one [`PlacedRun`], which
+//!   knows its trace hash, its trace capture, its per-core parts and
+//!   how to hand its logs back to [`SimBuffers`];
+//!   [`Workbench::recipe_mut`] gives the differential oracle the
+//!   session behind each part. Campaign digests, lone runs
+//!   (`rtft run`), trace captures and `POST /trace` all run jobs here.
 //!
 //! [`Workbench::run_batch`] additionally *orders* the queries of a
 //! batch to maximize warm-start reuse inside the existing fixed-point
@@ -51,6 +62,7 @@
 
 use crate::alloc::allocate;
 use crate::analyzer::PartitionedAnalyzer;
+use crate::multicore::{run_partitioned_streamed, MulticoreOutcome};
 use crate::partition::Partition;
 use rtft_core::analyzer::{Analyzer, AnalyzerBuilder};
 use rtft_core::diag::{self, Diagnostic};
@@ -59,8 +71,14 @@ use rtft_core::policy::PolicyKind;
 use rtft_core::query::{
     CoreAllowance, CoreScale, Placement, Query, Response, SystemSpec, TaskValue,
 };
+use rtft_core::task::TaskId;
 use rtft_core::time::Duration;
-use rtft_global::GlobalAnalyzer;
+use rtft_ft::harness::{run_scenario_streamed, HarnessError, Scenario, ScenarioOutcome};
+use rtft_ft::recipe::Recipe;
+use rtft_global::{run_global_streamed, GlobalAnalyzer, GlobalOutcome};
+use rtft_sim::engine::SimBuffers;
+use rtft_sim::sink::TraceSink;
+use rtft_trace::{TraceCapture, TraceLog};
 
 /// The memoized analysis state behind a [`Workbench`], built lazily on
 /// the first query.
@@ -78,6 +96,140 @@ enum Backend {
     /// The allocator found no placement; the diagnostics answer every
     /// query.
     Unplaceable(String),
+}
+
+/// Why [`Workbench::simulate`] could not run a scenario.
+#[derive(Clone, PartialEq, Debug)]
+pub enum RunError {
+    /// The allocator found no placement; its diagnostics.
+    Unplaceable(String),
+    /// The runner refused the base system, or an analysis failed.
+    Harness(HarnessError),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Unplaceable(diag) => f.write_str(diag),
+            RunError::Harness(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+impl From<HarnessError> for RunError {
+    fn from(e: HarnessError) -> Self {
+        RunError::Harness(e)
+    }
+}
+
+/// One scenario run on the placement its [`Workbench`] chose.
+#[derive(Debug)]
+pub enum PlacedRun {
+    /// One core: the uniprocessor harness outcome.
+    Uni(ScenarioOutcome),
+    /// Partitioned cores: one uniprocessor outcome per occupied core.
+    Partitioned(MulticoreOutcome),
+    /// Global cores: the migrating engine's merged outcome.
+    Global(GlobalOutcome),
+}
+
+impl PlacedRun {
+    /// The trace hash in the run's placement domain: the flat content
+    /// hash on one core, the fold of the per-core hashes under
+    /// partitioning, the merged core-tagged hash under global placement.
+    pub fn trace_hash(&self) -> u64 {
+        match self {
+            PlacedRun::Uni(outcome) => outcome.log.content_hash(),
+            PlacedRun::Partitioned(multi) => multi.merged_hash(),
+            PlacedRun::Global(global) => global.merged_hash,
+        }
+    }
+
+    /// The outcomes an oracle checks and a digest tallies, each with
+    /// the core it ran on: one part without a core for a uniprocessor
+    /// or global run, one per occupied core (ascending) for a
+    /// partitioned run.
+    pub fn parts(&self) -> Vec<(Option<usize>, &ScenarioOutcome)> {
+        match self {
+            PlacedRun::Uni(outcome) => vec![(None, outcome)],
+            PlacedRun::Partitioned(multi) => multi
+                .cores
+                .iter()
+                .map(|c| (Some(c.core), &c.outcome))
+                .collect(),
+            PlacedRun::Global(global) => vec![(None, &global.outcome)],
+        }
+    }
+
+    /// Tasks that failed their verdict: rank order for a one-part run,
+    /// sorted by task id across the cores of a partitioned run.
+    pub fn failed_tasks(&self) -> Vec<TaskId> {
+        match self {
+            PlacedRun::Uni(outcome) | PlacedRun::Global(GlobalOutcome { outcome, .. }) => {
+                outcome.verdict.failed_tasks()
+            }
+            PlacedRun::Partitioned(multi) => multi.failed_tasks(),
+        }
+    }
+
+    /// Non-faulty tasks that failed anyway, ordered like
+    /// [`PlacedRun::failed_tasks`].
+    pub fn collateral_failures(&self) -> Vec<TaskId> {
+        match self {
+            PlacedRun::Uni(outcome) | PlacedRun::Global(GlobalOutcome { outcome, .. }) => {
+                outcome.collateral_failures()
+            }
+            PlacedRun::Partitioned(multi) => multi.collateral_failures(),
+        }
+    }
+
+    /// The importable capture of the run — flat on one core, core-tagged
+    /// merged on several — with the provenance header `rtft replay`
+    /// verifies: the hash, policy, placement and cores of `spec` (the
+    /// spec the run's workbench was built over) and the `treatment`
+    /// keyword.
+    pub fn capture(self, spec: &SystemSpec, treatment: &str) -> TraceCapture {
+        let hash = rtft_core::query::spec_hash(spec);
+        let policy = spec.policy.label();
+        let merged = |logs: &[(usize, &TraceLog)]| {
+            TraceCapture::merged(
+                hash,
+                policy,
+                spec.placement.label(),
+                spec.cores,
+                treatment,
+                logs,
+            )
+        };
+        match self {
+            PlacedRun::Uni(outcome) => TraceCapture::flat(hash, policy, treatment, outcome.log),
+            PlacedRun::Partitioned(multi) => merged(&multi.logs()),
+            PlacedRun::Global(global) => {
+                let logs: Vec<(usize, &TraceLog)> =
+                    global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
+                merged(&logs)
+            }
+        }
+    }
+
+    /// Hand the run's largest trace buffer back to `bufs` for the next
+    /// run.
+    pub fn recycle(self, bufs: &mut SimBuffers) {
+        let log = match self {
+            PlacedRun::Uni(outcome) => Some(outcome.log),
+            PlacedRun::Partitioned(multi) => multi
+                .cores
+                .into_iter()
+                .map(|c| c.outcome.log)
+                .max_by_key(TraceLog::len),
+            PlacedRun::Global(global) => Some(global.outcome.log),
+        };
+        if let Some(log) = log {
+            bufs.recycle_log(log);
+        }
+    }
 }
 
 /// Memoized query executor for one [`SystemSpec`]. See the
@@ -186,6 +338,52 @@ impl Workbench {
     pub fn unplaceable(&mut self) -> Option<&str> {
         match self.ensure() {
             Backend::Unplaceable(diag) => Some(diag),
+            _ => None,
+        }
+    }
+
+    /// Run `sc` on the runner that matches this spec's placement — the
+    /// uniprocessor harness, the partitioned runner or the global
+    /// runner, each against this workbench's memoized sessions —
+    /// feeding every recorded event to `sink` when given. The lint is
+    /// not consulted: a caller that gates on it does so first.
+    ///
+    /// # Errors
+    /// [`RunError::Unplaceable`] with the allocator's diagnostics, or
+    /// the runner's [`HarnessError`] (infeasible base, failed analysis).
+    ///
+    /// # Panics
+    /// Panics if `sc` runs a different task set or policy than the spec.
+    pub fn simulate(
+        &mut self,
+        sc: &Scenario,
+        bufs: &mut SimBuffers,
+        sink: Option<&mut dyn TraceSink>,
+    ) -> Result<PlacedRun, RunError> {
+        Ok(match self.ensure() {
+            Backend::Uni(session) => {
+                PlacedRun::Uni(run_scenario_streamed(sc, session, bufs, sink)?)
+            }
+            Backend::Multi(pa) => {
+                PlacedRun::Partitioned(run_partitioned_streamed(sc, pa, bufs, sink)?)
+            }
+            Backend::Global(ga) => PlacedRun::Global(run_global_streamed(sc, ga, bufs, sink)?),
+            Backend::Unplaceable(diag) => return Err(RunError::Unplaceable(diag.clone())),
+        })
+    }
+
+    /// The analysis session behind one part of a [`PlacedRun`] (see
+    /// [`PlacedRun::parts`]), as the certification [`Recipe`] the
+    /// oracle asks: the whole-set session for a part without a core,
+    /// the core's session for a partitioned part. `None` when no such
+    /// part exists on this placement.
+    pub fn recipe_mut(&mut self, core: Option<usize>) -> Option<&mut dyn Recipe> {
+        match (self.ensure(), core) {
+            (Backend::Uni(session), None) => Some(&mut **session),
+            (Backend::Global(session), None) => Some(&mut **session),
+            (Backend::Multi(pa), Some(core)) => {
+                pa.core_session_mut(core).map(|s| s as &mut dyn Recipe)
+            }
             _ => None,
         }
     }

@@ -1,9 +1,12 @@
 //! The live trace subscription route: `POST /trace`.
 //!
 //! The body is a **one-job** campaign spec (the same contract as a
-//! `rtft replay --spec` artifact); the daemon runs that job through
-//! [`rtft_campaign::capture_job_streamed`] and writes every recorded
-//! event down the socket *as the simulation produces it* — a
+//! `rtft replay --spec` artifact). The daemon builds the job's
+//! [`Workbench`] once and lints the spec through it: Error findings
+//! answer 422 with the lint diagnostics, exactly as `POST /query` would
+//! reject the same system. Otherwise the job runs on that workbench
+//! through [`rtft_campaign::capture_job_streamed`], and every recorded
+//! event goes down the socket *as the simulation produces it* — a
 //! close-delimited body with no `Content-Length`, flushed per event, so
 //! a subscriber watches the run live instead of waiting for it to
 //! finish.
@@ -26,27 +29,29 @@
 //! The `content-hash` arrives as a **trailer** — it folds over the
 //! whole event stream, so it cannot lead it. Reordering that one line
 //! into the header slot yields a capture `rtft replay` imports and
-//! hash-checks. A job that cannot run (infeasible base, no partition)
-//! after the head was committed reports `# error: ...` as the trailer
-//! instead.
+//! hash-checks. A lint-clean job that still cannot run (the runner's
+//! admission gate refuses it, or no partition exists) reports
+//! `# error: ...` as the trailer instead, since the head is committed
+//! by then.
 
 use std::io::Write;
 use std::net::TcpStream;
 
-use rtft_core::diag;
+use rtft_core::diag::{self, Diagnostic};
+use rtft_part::workbench::Workbench;
 use rtft_trace::TraceEvent;
 
 use crate::http::{write_response, write_stream_head, Request};
 
-/// Render one rejection diagnostic the way the query route does.
-fn reject(stream: &mut TcpStream, d: &diag::Diagnostic, json: bool) -> u16 {
+/// Answer 422 with rejection diagnostics, one line each (or JSON).
+fn reject(stream: &mut TcpStream, diags: &[Diagnostic], json: bool) -> u16 {
     let (ct, body) = if json {
-        (
-            "application/json",
-            diag::render_json(std::slice::from_ref(d)),
-        )
+        ("application/json", diag::render_json(diags))
     } else {
-        ("text/plain", format!("{}\n", d.to_line()))
+        (
+            "text/plain",
+            diags.iter().map(|d| format!("{}\n", d.to_line())).collect(),
+        )
     };
     let _ = write_response(stream, 422, ct, body.as_bytes());
     422
@@ -63,11 +68,11 @@ pub(crate) fn handle_trace_stream(stream: &mut TcpStream, request: &Request) -> 
 
     let spec = match rtft_campaign::parse_spec(text) {
         Ok(s) => s,
-        Err(e) => return reject(stream, &diag::parse_failure(e.line, e.message), json),
+        Err(e) => return reject(stream, &[diag::parse_failure(e.line, e.message)], json),
     };
     let jobs = match spec.expand() {
         Ok(j) => j,
-        Err(e) => return reject(stream, &diag::parse_failure(e.line, e.message), json),
+        Err(e) => return reject(stream, &[diag::parse_failure(e.line, e.message)], json),
     };
     let [job] = jobs.as_slice() else {
         let d = diag::parse_failure(
@@ -78,8 +83,12 @@ pub(crate) fn handle_trace_stream(stream: &mut TcpStream, request: &Request) -> 
                 jobs.len()
             ),
         );
-        return reject(stream, &d, json);
+        return reject(stream, &[d], json);
     };
+    let mut bench = Workbench::new(job.system_spec());
+    if diag::has_errors(bench.lint()) {
+        return reject(stream, bench.lint(), json);
+    }
 
     // From here the head is committed: run errors become trailers.
     if write_stream_head(stream, 200, "text/plain").is_err() {
@@ -88,7 +97,7 @@ pub(crate) fn handle_trace_stream(stream: &mut TcpStream, request: &Request) -> 
     let head = format!(
         "# rtft trace stream\n# spec-hash {:016x}\n# policy {}\n# placement {}\n# cores {}\n\
          # treatment {}\n",
-        rtft_core::query::spec_hash(&job.system_spec()),
+        rtft_core::query::spec_hash(bench.spec()),
         job.policy.label(),
         job.placement.label(),
         job.cores,
@@ -110,7 +119,7 @@ pub(crate) fn handle_trace_stream(stream: &mut TcpStream, request: &Request) -> 
         };
         dead = stream.write_all(line.as_bytes()).is_err() || stream.flush().is_err();
     };
-    let trailer = match rtft_campaign::capture_job_streamed(job, &mut sink) {
+    let trailer = match rtft_campaign::capture_job_streamed(job, &mut bench, Some(&mut sink)) {
         Ok(capture) => match &capture.header {
             Some(h) => format!("# content-hash {:016x}\n", h.content_hash),
             None => String::new(),

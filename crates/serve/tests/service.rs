@@ -346,5 +346,17 @@ fn trace_route_rejects_garbage_and_grids() {
         "{}",
         reply.body
     );
+    // A lint-broken system (U = 1.2 on one core) is rejected up front
+    // with the lint's diagnostics, exactly as `POST /query` rejects it,
+    // instead of a 200 stream ending in an error trailer.
+    let overloaded = "campaign overload\nhorizon 500ms\ntask a 9 100ms 100ms 60ms\n\
+                      task b 8 100ms 100ms 60ms\ntreatment detect\n";
+    let reply = client.post_trace(overloaded).expect("reply");
+    assert_eq!(reply.status, 422, "{}", reply.body);
+    assert!(reply.body.contains("RT010"), "{}", reply.body);
+    assert!(!reply.body.contains("# error"), "{}", reply.body);
+    let query = "system overload\ntask a 9 100ms 100ms 60ms\ntask b 8 100ms 100ms 60ms\n\
+                 query feasibility\n";
+    assert_eq!(client.post_query(query, false).expect("reply").status, 422);
     handle.shutdown();
 }

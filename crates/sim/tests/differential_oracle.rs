@@ -22,6 +22,26 @@ fn ms(v: i64) -> Duration {
     Duration::millis(v)
 }
 
+/// The one-job campaign spec a lone scenario runs as: 1 core, exact
+/// platform.
+fn lone_job(sc: &rtft_ft::harness::Scenario) -> JobSpec {
+    JobSpec {
+        index: 0,
+        set_ordinal: 0,
+        set_label: sc.name.clone(),
+        set: std::sync::Arc::new(sc.set.clone()),
+        policy: sc.policy,
+        cores: 1,
+        placement: rtft_core::query::Placement::Partitioned,
+        alloc: rtft_core::query::AllocPolicy::FirstFitDecreasing,
+        fault_label: "explicit".to_string(),
+        faults: sc.faults.clone(),
+        treatment: sc.treatment,
+        platform: PlatformSpec::EXACT,
+        horizon: sc.horizon,
+    }
+}
+
 /// The random grid: 112 systems × 3 policies × 3 fault plans ×
 /// 2 treatments × 2 platforms = 4032 scenarios.
 fn random_grid() -> CampaignSpec {
@@ -139,7 +159,9 @@ fn out_of_allowance_overruns_are_flagged_by_the_detectors() {
             outcome.log.faults()
         );
         // And the oracle refuses to certify it: Δ exceeds the allowance.
-        let (_, oracle) = run_single(&sc, true).expect("feasible base");
+        let oracle = run_single(&lone_job(&sc), true)
+            .expect("feasible base")
+            .oracle;
         assert!(
             !oracle.was_checked(),
             "seed {seed}: Δ = {delta} > A = {allowance} cannot be certified"
@@ -177,7 +199,7 @@ fn allowance_boundary_is_certified_exactly() {
             Treatment::DetectOnly,
             Instant::from_millis(500),
         );
-        let Ok((_, oracle)) = run_single(&sc, true) else {
+        let Ok(SingleRun { oracle, .. }) = run_single(&lone_job(&sc), true) else {
             continue;
         };
         assert!(

@@ -802,6 +802,9 @@ fn cli_job(
     }
 }
 
+/// `rtft run`: a lone run is a one-job campaign — the same execution
+/// path on every placement, plus the differential oracle for free.
+/// Only the rendering follows the placement the workbench chose.
 fn cmd_run(args: &[String]) -> Result<bool, CliError> {
     let path = args.first().ok_or("run: missing task file")?;
     let (set, faults) = load_system(path)?;
@@ -812,6 +815,9 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
     let (cores, alloc) = cores_and_alloc(args)?;
     let placement = placement_flag(args)?;
     let jrate = args.iter().any(|a| a == "--jrate");
+    if cores > 1 && flag_value(args, "--svg").is_some() {
+        return Err("--svg is not supported with --cores > 1".into());
+    }
     let job = cli_job(
         path,
         &set,
@@ -824,26 +830,11 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
         Instant::EPOCH + horizon,
         jrate,
     );
-    let mut scenario = Scenario::new(
-        path.to_string(),
-        set.clone(),
-        faults,
-        treatment,
-        Instant::EPOCH + horizon,
-    )
-    .with_policy(policy);
-    if jrate {
-        scenario = scenario.with_jrate_timers();
-    }
-    if cores > 1 {
-        if placement == rtft_core::query::Placement::Global {
-            return run_global_cmd(args, &scenario, &job, cores, horizon);
-        }
-        return run_partitioned_cmd(args, &scenario, &job, cores, alloc, horizon);
-    }
-    // A single run is a one-job campaign: same execution path, plus the
-    // differential oracle for free.
-    let (out, oracle) = rtft_campaign::run_single(&scenario, true).map_err(|e| e.to_string())?;
+    let SingleRun {
+        mut bench,
+        run,
+        oracle,
+    } = rtft_campaign::run_single(&job, true).map_err(|e| e.to_string())?;
 
     let (from, to) = match flag_value(args, "--window") {
         Some(w) => {
@@ -859,156 +850,59 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
         Some(c) => parse_duration(c)?,
         None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
     };
-    println!("{}", out.chart(&set, from, to, cell));
-    println!("{}", out.verdict);
-    if !out.injected_faulty.is_empty() {
-        println!(
-            "injected faults on {:?}; collateral failures: {:?}",
-            out.injected_faulty,
-            out.collateral_failures()
-        );
-    }
-    if let Some(file) = flag_value(args, "--svg") {
-        let cfg = rtft::trace::SvgConfig::window(from, to);
-        std::fs::write(file, rtft::trace::render_svg(&out.log, &set, &cfg))
-            .map_err(|e| format!("write {file}: {e}"))?;
-        println!("SVG chart written to {file}");
-    }
-    if let Some(file) = flag_value(args, "--save-trace") {
-        let capture = rtft::trace::TraceCapture::flat(
-            rtft_core::query::spec_hash(&job.system_spec()),
-            job.policy.label(),
-            rtft::campaign::treatment_keyword(job.treatment),
-            out.log.clone(),
-        );
-        std::fs::write(file, capture.render_text()).map_err(|e| format!("write {file}: {e}"))?;
-        println!("trace written to {file}");
-    }
-    for v in oracle.violations() {
-        println!("ORACLE VIOLATION: {v}");
-    }
-    Ok(oracle.violations().is_empty())
-}
-
-/// `run --cores n`: the partitioned execution path — per-core charts and
-/// verdicts, a core-tagged merged trace, per-core differential oracle.
-fn run_partitioned_cmd(
-    args: &[String],
-    scenario: &Scenario,
-    job: &rtft::campaign::JobSpec,
-    cores: usize,
-    alloc: rtft::part::AllocPolicy,
-    horizon: rtft_core::time::Duration,
-) -> Result<bool, CliError> {
-    if flag_value(args, "--svg").is_some() {
-        return Err("--svg is not supported with --cores > 1".into());
-    }
-    let (multi, oracle, partition) =
-        run_single_partitioned(scenario, cores, alloc, true).map_err(|e| e.to_string())?;
-    let (from, to) = match flag_value(args, "--window") {
-        Some(w) => {
-            let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
-            (
-                Instant::EPOCH + parse_duration(a)?,
-                Instant::EPOCH + parse_duration(b)?,
-            )
+    match &run {
+        // One outcome over the whole set (on a global run, jobs may
+        // overlap in time: that's `m` cores executing in parallel).
+        PlacedRun::Uni(out)
+        | PlacedRun::Global(rtft_global::GlobalOutcome { outcome: out, .. }) => {
+            println!("{}", out.chart(&set, from, to, cell));
+            println!("{}", out.verdict);
+            if let PlacedRun::Global(global) = &run {
+                println!(
+                    "global over {cores} migrating cores: merged hash {:016x}",
+                    global.merged_hash
+                );
+            }
+            if !out.injected_faulty.is_empty() {
+                println!(
+                    "injected faults on {:?}; collateral failures: {:?}",
+                    out.injected_faulty,
+                    out.collateral_failures()
+                );
+            }
+            if let Some(file) = flag_value(args, "--svg") {
+                let cfg = rtft::trace::SvgConfig::window(from, to);
+                std::fs::write(file, rtft::trace::render_svg(&out.log, &set, &cfg))
+                    .map_err(|e| format!("write {file}: {e}"))?;
+                println!("SVG chart written to {file}");
+            }
         }
-        None => (Instant::EPOCH, Instant::EPOCH + horizon),
-    };
-    let cell = match flag_value(args, "--cell") {
-        Some(c) => parse_duration(c)?,
-        None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
-    };
-    for run in &multi.cores {
-        println!("== core {} ==", run.core);
-        let core_set = partition.core_set(run.core).expect("occupied core");
-        println!("{}", run.outcome.chart(core_set, from, to, cell));
-        println!("{}", run.outcome.verdict);
-    }
-    println!(
-        "partitioned over {cores} cores ({alloc}): merged hash {:016x}",
-        multi.merged_hash()
-    );
-    let collateral = multi.collateral_failures();
-    println!("collateral failures: {collateral:?}");
-    if let Some(file) = flag_value(args, "--save-trace") {
-        // The capture format, not the old `merge` Display dump: header
-        // plus `c<idx>`-tagged event lines, so the file re-imports.
-        let capture = rtft::trace::TraceCapture::merged(
-            rtft_core::query::spec_hash(&job.system_spec()),
-            job.policy.label(),
-            "partitioned",
-            cores,
-            rtft::campaign::treatment_keyword(job.treatment),
-            &multi.logs(),
-        );
-        std::fs::write(file, capture.render_text()).map_err(|e| format!("write {file}: {e}"))?;
-        println!("core-tagged trace written to {file}");
-    }
-    for v in oracle.violations() {
-        println!("ORACLE VIOLATION: {v}");
-    }
-    Ok(oracle.violations().is_empty())
-}
-
-/// `run --cores n --placement global`: the migrating-queue execution
-/// path — one chart over the whole set (jobs may overlap in time:
-/// that's `m` cores executing in parallel), the merged core-tagged
-/// hash, and the global differential oracle.
-fn run_global_cmd(
-    args: &[String],
-    scenario: &Scenario,
-    job: &rtft::campaign::JobSpec,
-    cores: usize,
-    horizon: rtft_core::time::Duration,
-) -> Result<bool, CliError> {
-    if flag_value(args, "--svg").is_some() {
-        return Err("--svg is not supported with --cores > 1".into());
-    }
-    let (global, oracle) =
-        rtft_campaign::run_single_global(scenario, cores, true).map_err(|e| e.to_string())?;
-    let (from, to) = match flag_value(args, "--window") {
-        Some(w) => {
-            let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
-            (
-                Instant::EPOCH + parse_duration(a)?,
-                Instant::EPOCH + parse_duration(b)?,
-            )
+        PlacedRun::Partitioned(multi) => {
+            let partition = bench.partition().expect("partitioned run");
+            for core in &multi.cores {
+                println!("== core {} ==", core.core);
+                let core_set = partition.core_set(core.core).expect("occupied core");
+                println!("{}", core.outcome.chart(core_set, from, to, cell));
+                println!("{}", core.outcome.verdict);
+            }
+            println!(
+                "partitioned over {cores} cores ({alloc}): merged hash {:016x}",
+                run.trace_hash()
+            );
+            println!("collateral failures: {:?}", run.collateral_failures());
         }
-        None => (Instant::EPOCH, Instant::EPOCH + horizon),
-    };
-    let cell = match flag_value(args, "--cell") {
-        Some(c) => parse_duration(c)?,
-        None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
-    };
-    println!("{}", global.outcome.chart(&scenario.set, from, to, cell));
-    println!("{}", global.outcome.verdict);
-    println!(
-        "global over {cores} migrating cores: merged hash {:016x}",
-        global.merged_hash
-    );
-    if !global.outcome.injected_faulty.is_empty() {
-        println!(
-            "injected faults on {:?}; collateral failures: {:?}",
-            global.outcome.injected_faulty,
-            global.outcome.collateral_failures()
-        );
     }
     if let Some(file) = flag_value(args, "--save-trace") {
-        // Core-tagged per-core projections, not the interleaved flat
-        // log (which breaks the strict v1 parser on overlap), with the
-        // merged content hash the header pins.
-        let refs: Vec<(usize, &TraceLog)> = global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
-        let capture = rtft::trace::TraceCapture::merged(
-            rtft_core::query::spec_hash(&job.system_spec()),
-            job.policy.label(),
-            "global",
-            cores,
+        let saved = match run {
+            PlacedRun::Uni(_) => "trace",
+            _ => "core-tagged trace",
+        };
+        let capture = run.capture(
+            bench.spec(),
             rtft::campaign::treatment_keyword(job.treatment),
-            &refs,
         );
         std::fs::write(file, capture.render_text()).map_err(|e| format!("write {file}: {e}"))?;
-        println!("core-tagged trace written to {file}");
+        println!("{saved} written to {file}");
     }
     for v in oracle.violations() {
         println!("ORACLE VIOLATION: {v}");

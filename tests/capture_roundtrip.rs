@@ -167,16 +167,7 @@ proptest! {
         // The oracle's verdict on the same job is replay's
         // certification: checked exactly when certified, and a skip
         // carries the reason replay prints.
-        let sc = job.scenario();
-        let oracle = if job.cores <= 1 {
-            rtft::campaign::run_single(&sc, true).unwrap().1
-        } else if job.placement == rtft::core::query::Placement::Global {
-            rtft::campaign::run_single_global(&sc, job.cores, true).unwrap().1
-        } else {
-            rtft::campaign::run_single_partitioned(&sc, job.cores, job.alloc, true)
-                .unwrap()
-                .1
-        };
+        let oracle = rtft::campaign::run_single(&job, true).unwrap().oracle;
         prop_assert!(oracle.violations().is_empty(), "{:?}", oracle);
         prop_assert_eq!(
             oracle.was_checked(),

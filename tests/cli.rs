@@ -860,3 +860,149 @@ fn capture_tamper_replay_minimize_round_trip() {
         "minimized pair must re-diverge at event {event}"
     );
 }
+
+/// A light four-task set: partitions over two cores and passes the
+/// global sufficient test on two, with one in-allowance overrun.
+const LIGHT_SET: &str = "\
+a 20 100ms 100ms 20ms
+b 18 150ms 150ms 30ms
+c 16 200ms 200ms 25ms
+d 14 300ms 300ms 30ms
+fault a job 2 overrun 10ms
+";
+
+/// Run `rtft run <file> <flags>` inside a fresh directory holding
+/// `file` (so paths, and with them the spec hash, are stable) and
+/// render the exit code, stdout, stderr and any saved trace as one
+/// golden text.
+fn run_transcript(tag: &str, file: &str, contents: &str, flags: &[&str]) -> String {
+    let dir = temp_dir(tag);
+    std::fs::write(dir.join(file), contents).unwrap();
+    let out = rtft()
+        .current_dir(&dir)
+        .arg("run")
+        .arg(file)
+        .args(flags)
+        .output()
+        .unwrap();
+    let mut text = format!(
+        "exit {:?}\n--- stdout\n{}--- stderr\n{}",
+        out.status.code(),
+        String::from_utf8(out.stdout).unwrap(),
+        String::from_utf8(out.stderr).unwrap()
+    );
+    if let Some(i) = flags.iter().position(|f| *f == "--save-trace") {
+        let saved = std::fs::read_to_string(dir.join(flags[i + 1])).unwrap();
+        text.push_str("--- saved trace\n");
+        text.push_str(&saved);
+    }
+    text
+}
+
+/// Compare against `tests/golden/<name>` (`UPDATE_GOLDEN=1` re-pins).
+fn assert_golden(name: &str, actual: &str) {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var("UPDATE_GOLDEN").is_ok() {
+        std::fs::write(&golden, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&golden)
+        .unwrap_or_else(|e| panic!("{}: {e} (UPDATE_GOLDEN=1 to pin)", golden.display()));
+    assert_eq!(
+        actual, expected,
+        "`rtft run` drifted from tests/golden/{name} (UPDATE_GOLDEN=1 to re-pin)"
+    );
+}
+
+#[test]
+fn run_paper_system_matches_the_pinned_golden() {
+    let text = run_transcript(
+        "golden-paper",
+        "paper.rtft",
+        rtft::taskgen::PAPER_SCENARIO_FILE,
+        &[
+            "--jrate",
+            "--treatment",
+            "system",
+            "--window",
+            "990ms..1140ms",
+            "--cell",
+            "1ms",
+            "--save-trace",
+            "paper.trace",
+        ],
+    );
+    assert_golden("run_paper_system.txt", &text);
+}
+
+#[test]
+fn run_partitioned_matches_the_pinned_golden() {
+    let text = run_transcript(
+        "golden-partitioned",
+        "light.rtft",
+        LIGHT_SET,
+        &[
+            "--cores",
+            "2",
+            "--alloc",
+            "wfd",
+            "--horizon",
+            "600ms",
+            "--window",
+            "0ms..300ms",
+            "--cell",
+            "5ms",
+            "--save-trace",
+            "light.trace",
+        ],
+    );
+    assert_golden("run_partitioned.txt", &text);
+}
+
+#[test]
+fn run_global_matches_the_pinned_golden() {
+    let text = run_transcript(
+        "golden-global",
+        "light.rtft",
+        LIGHT_SET,
+        &[
+            "--cores",
+            "2",
+            "--placement",
+            "global",
+            "--horizon",
+            "600ms",
+            "--window",
+            "0ms..300ms",
+            "--cell",
+            "5ms",
+            "--save-trace",
+            "light.trace",
+        ],
+    );
+    assert_golden("run_global.txt", &text);
+}
+
+#[test]
+fn run_errors_match_the_pinned_golden() {
+    // U = 1.2 on one core: the admission gate refuses the base system.
+    let infeasible = run_transcript(
+        "golden-infeasible",
+        "overload.rtft",
+        "a 9 100ms 100ms 60ms\nb 8 100ms 100ms 60ms\n",
+        &[],
+    );
+    // Three U = 0.6 tasks cannot fit two cores: the allocator's text.
+    let unplaceable = run_transcript(
+        "golden-unplaceable",
+        "heavy.rtft",
+        "a 9 100ms 100ms 60ms\nb 8 100ms 100ms 60ms\nc 7 100ms 100ms 60ms\n",
+        &["--cores", "2"],
+    );
+    assert_golden(
+        "run_errors.txt",
+        &format!("{infeasible}=== --cores 2\n{unplaceable}"),
+    );
+}
