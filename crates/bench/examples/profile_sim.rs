@@ -31,8 +31,12 @@ fn main() {
 
         let t0 = std::time::Instant::now();
         for _ in 0..per_round {
-            let mut sim =
-                Simulator::new_in(black_box(set.clone()), SimConfig::until(horizon), &mut bufs);
+            let mut sim = Simulator::new_in(
+                black_box(set.clone()),
+                1,
+                SimConfig::until(horizon),
+                &mut bufs,
+            );
             sim.run(&mut NullSupervisor);
             let log = sim.finish(&mut bufs);
             black_box(&log);

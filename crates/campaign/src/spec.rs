@@ -10,7 +10,7 @@
 //! directly.
 
 use rtft_core::policy::PolicyKind;
-use rtft_core::query::{FaultEntry, Placement, PlatformModel, SystemSpec};
+use rtft_core::query::{parse_cores, FaultEntry, Placement, PlatformModel, SystemSpec};
 use rtft_core::task::{TaskBuilder, TaskId, TaskSet, TaskSpec};
 use rtft_core::time::{Duration, Instant};
 use rtft_ft::treatment::Treatment;
@@ -953,13 +953,7 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
                     return Err(err("cores: expected one or more counts ≥ 1".into()));
                 }
                 for word in &words[1..] {
-                    let n: usize = word
-                        .parse()
-                        .map_err(|e| err(format!("bad core count `{word}`: {e}")))?;
-                    if n == 0 {
-                        return Err(err("cores: counts must be ≥ 1".into()));
-                    }
-                    spec.cores.push(n);
+                    spec.cores.push(parse_cores(word).map_err(&err)?);
                 }
             }
             "placement" => {
@@ -1155,6 +1149,7 @@ platform exact
             ("cores\n", "expected one or more"),
             ("cores 0\n", "must be ≥ 1"),
             ("cores two\n", "bad core count"),
+            ("cores 1 99999999999\n", "≤ 65535"),
             ("alloc\n", "expected ffd|bfd|wfd"),
             ("alloc sideways\n", "unknown allocator"),
         ] {

@@ -141,6 +141,27 @@ impl FromStr for AllocPolicy {
     }
 }
 
+/// The largest core count a platform may have. The simulation engine
+/// attributes trace events to cores with a `u16` tag whose maximum value
+/// marks platform-level events, so core indices run `0..u16::MAX`.
+pub const MAX_CORES: usize = u16::MAX as usize;
+
+/// Parse a core count: an integer in `1..=`[`MAX_CORES`]. Every reader
+/// of a core count (spec and campaign files, CLI flags, capture
+/// headers) goes through this one check.
+///
+/// # Errors
+/// A message naming the rejected word.
+pub fn parse_cores(word: &str) -> Result<usize, String> {
+    match word.parse::<usize>() {
+        Ok(n) if (1..=MAX_CORES).contains(&n) => Ok(n),
+        Ok(_) => Err(format!(
+            "bad core count `{word}`: must be ≥ 1 and ≤ {MAX_CORES}"
+        )),
+        Err(e) => Err(format!("bad core count `{word}`: {e}")),
+    }
+}
+
 /// How tasks are mapped onto cores when a [`SystemSpec`] names more
 /// than one: partitioned (each task pinned to one core by the
 /// [`AllocPolicy`]) or global (one shared ready queue, free migration).
@@ -1061,17 +1082,10 @@ pub fn parse_batch(text: &str) -> Result<(SystemSpec, Vec<Query>), QueryParseErr
                 policy = word.parse().map_err(&err)?;
             }
             "cores" => {
-                let n: usize = words
+                let word = words
                     .get(1)
-                    .ok_or_else(|| err("cores: missing count".into()))
-                    .and_then(|w| {
-                        w.parse()
-                            .map_err(|e| err(format!("bad core count `{w}`: {e}")))
-                    })?;
-                if n == 0 {
-                    return Err(err("cores: count must be ≥ 1".into()));
-                }
-                cores = n;
+                    .ok_or_else(|| err("cores: missing count".into()))?;
+                cores = parse_cores(word).map_err(&err)?;
             }
             "alloc" => {
                 let word = words
@@ -1220,6 +1234,7 @@ mod tests {
             ("query sideways\n", "unknown query"),
             ("query overrun ghost\n", "unknown task"),
             ("cores 0\n", "must be ≥ 1"),
+            ("cores 65536\n", "must be ≥ 1 and ≤ 65535"),
             ("policy sideways\n", "unknown policy"),
             ("alloc sideways\n", "unknown allocator"),
             ("platform quantum=abc\n", "bad duration"),

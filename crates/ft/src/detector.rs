@@ -81,33 +81,21 @@ impl FtSupervisor {
         }
     }
 
-    /// The periodic detector timers this supervisor needs, as
-    /// `(first, period, tag)` rows — one per rank, empty for
-    /// [`Treatment::NoDetection`]. Engines install each row verbatim
-    /// (the uniprocessor [`Simulator`] via [`Self::install_detectors`],
-    /// the global engine through its own `add_periodic_timer`), so a
-    /// detector grid is identical no matter which engine runs it.
-    pub fn detector_specs(&self, set: &TaskSet) -> Vec<(Duration, Duration, u64)> {
-        if !self.treatment.has_detection() {
-            return Vec::new();
-        }
-        (0..set.len())
-            .map(|rank| {
-                let spec = set.by_rank(rank);
-                (
-                    spec.offset + self.thresholds[rank],
-                    spec.period,
-                    rank as u64,
-                )
-            })
-            .collect()
-    }
-
     /// Install one periodic detector per task on `sim` (no-op for
-    /// [`Treatment::NoDetection`]). Must be called before `run`.
+    /// [`Treatment::NoDetection`]): period `T_i`, first release
+    /// `O_i + threshold_i`, tagged with the rank. Must be called before
+    /// `run`.
     pub fn install_detectors(&self, sim: &mut Simulator, set: &TaskSet) {
-        for (first, period, tag) in self.detector_specs(set) {
-            sim.add_periodic_timer(first, period, tag);
+        if !self.treatment.has_detection() {
+            return;
+        }
+        for rank in 0..set.len() {
+            let spec = set.by_rank(rank);
+            sim.add_periodic_timer(
+                spec.offset + self.thresholds[rank],
+                spec.period,
+                rank as u64,
+            );
         }
     }
 

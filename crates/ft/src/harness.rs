@@ -7,14 +7,19 @@
 //! trace to verdicts — everything needed to regenerate the paper's
 //! Figures 3–7 and the ablation sweeps.
 //!
-//! [`run_scenario_streamed`] is the single uniprocessor execution path:
-//! the `rtft-part` `Workbench` runs every 1-core job through it (one
-//! memoized [`Analyzer`] session per set instance) — campaign grid
-//! jobs, lone runs (`rtft_campaign::run_single`) and trace captures
-//! alike — and a partitioned multiprocessor run is one call per core
-//! (the core's subset, its fault slice, its own session), so a paper
-//! figure, a million-job sweep and a multicore run all exercise
-//! identical code.
+//! [`run_on_cores`] is the one run body: admission gate, detector
+//! thresholds and allowance maxima from a certification [`Recipe`]
+//! session, the supervised simulation on `m ≥ 1` cores of the one
+//! engine, and the trace reduction. Every placement runs through it.
+//! [`run_scenario_streamed`] is its one-core case against the exact
+//! uniprocessor [`Analyzer`]: the `rtft-part` `Workbench` runs every
+//! 1-core job there (one memoized session per set instance) — campaign
+//! grid jobs, lone runs (`rtft_campaign::run_single`) and trace
+//! captures alike — and a partitioned multiprocessor run is one call
+//! per core (the core's subset, its fault slice, its own session). The
+//! global runner of `rtft-global` is its `m`-core case against the
+//! sufficient-only global analysis. So a paper figure, a million-job
+//! sweep and a multicore run all exercise identical code.
 
 use crate::detector::FtSupervisor;
 use crate::manager::AllowanceManager;
@@ -31,7 +36,7 @@ use rtft_sim::fault::FaultPlan;
 use rtft_sim::overhead::Overheads;
 use rtft_sim::sink::TraceSink;
 use rtft_sim::stop::StopModel;
-use rtft_sim::supervisor::NullSupervisor;
+use rtft_sim::supervisor::{NullSupervisor, Supervisor};
 use rtft_sim::timer::TimerModel;
 use rtft_trace::chart::{glyph, ChartConfig};
 use rtft_trace::{TraceLog, TraceStats};
@@ -265,59 +270,83 @@ pub fn run_scenario_streamed(
     bufs: &mut SimBuffers,
     sink: Option<&mut dyn TraceSink>,
 ) -> Result<ScenarioOutcome, HarnessError> {
+    run_on_cores(sc, session, 1, bufs, sink).map(|(outcome, _)| outcome)
+}
+
+/// The one run body: run `sc` on `cores` cores of the one engine,
+/// parameterized by `session`'s answers to the certification
+/// [`Recipe`] — the admission gate, the detector thresholds the
+/// treatment arms and, under the system-allowance treatment, the
+/// maxima the allowance manager grants. Feeds every recorded event to
+/// `sink` when given (see [`run_scenario_streamed`]).
+///
+/// Returns the outcome and, on more than one core, the per-core split
+/// of its trace (`rtft_sim::engine::Simulator::core_logs`). A one-core
+/// run keeps no split: its trace is the flat log and the split is empty.
+///
+/// # Errors
+/// [`HarnessError::InfeasibleBase`] when the session does not admit
+/// the set (or finds no allowance the treatment needs), or the
+/// session's analysis error.
+///
+/// # Panics
+/// Panics if `session` analyses a different task set, or was built for
+/// a different scheduling policy, than the scenario.
+pub fn run_on_cores<R: Recipe + ?Sized>(
+    sc: &Scenario,
+    session: &mut R,
+    cores: usize,
+    bufs: &mut SimBuffers,
+    sink: Option<&mut dyn TraceSink>,
+) -> Result<(ScenarioOutcome, Vec<(usize, TraceLog)>), HarnessError> {
     assert_eq!(
         session.task_set(),
         &sc.set,
-        "run_scenario_with: session and scenario disagree on the task set"
+        "run_on_cores: session and scenario disagree on the task set"
     );
     assert_eq!(
-        session.sched_policy(),
+        session.policy(),
         sc.policy,
-        "run_scenario_with: session and scenario disagree on the policy"
+        "run_on_cores: session and scenario disagree on the policy"
     );
-    // Admission gate and the thresholds the treatment arms (the one
-    // certification recipe); the system-allowance maxima feed only the
-    // live run's allowance manager.
     let wcrt = session.baseline()?;
     let (thresholds, equitable) = session.detection(sc.treatment, &wcrt)?;
     let system_max = match sc.treatment {
-        Treatment::SystemAllowance { policy, .. } => Some(
-            session
-                .system_allowance_with(policy)?
-                .ok_or(HarnessError::InfeasibleBase)?
-                .max_overrun,
-        ),
+        Treatment::SystemAllowance { policy, .. } => Some(session.system_allowance(policy)?),
         _ => None,
     };
-    let manager = system_max.clone().map(AllowanceManager::new);
 
     let config = SimConfig::until(sc.horizon)
         .with_timer_model(sc.timer_model)
         .with_stop_model(sc.stop_model)
         .with_overheads(sc.overheads)
         .with_policy(sc.policy);
-    let mut sim = Simulator::new_in(sc.set.clone(), config, bufs).with_faults(sc.faults.clone());
-
-    let log = if sc.treatment.has_detection() {
-        let mut sup = FtSupervisor::new(sc.treatment, thresholds.clone(), wcrt.clone(), manager);
-        sup.install_detectors(&mut sim, &sc.set);
-        match sink {
-            Some(s) => sim.run_streamed(&mut sup, s),
-            None => sim.run(&mut sup),
-        };
-        sim.finish(bufs)
+    let mut sim =
+        Simulator::new_in(sc.set.clone(), cores, config, bufs).with_faults(sc.faults.clone());
+    let mut ft;
+    let mut null = NullSupervisor;
+    let sup: &mut dyn Supervisor = if sc.treatment.has_detection() {
+        let manager = system_max.clone().map(AllowanceManager::new);
+        ft = FtSupervisor::new(sc.treatment, thresholds.clone(), wcrt.clone(), manager);
+        ft.install_detectors(&mut sim, &sc.set);
+        &mut ft
     } else {
-        let mut sup = NullSupervisor;
-        match sink {
-            Some(s) => sim.run_streamed(&mut sup, s),
-            None => sim.run(&mut sup),
-        };
-        sim.finish(bufs)
+        &mut null
     };
+    match sink {
+        Some(s) => sim.run_streamed(sup, s),
+        None => sim.run(sup),
+    };
+    let core_logs = if cores > 1 {
+        sim.core_logs()
+    } else {
+        Vec::new()
+    };
+    let log = sim.finish(bufs);
 
     let stats = TraceStats::from_log(&log, Some(&sc.set));
     let verdict = Verdict::new(&sc.set, &stats);
-    Ok(ScenarioOutcome {
+    let outcome = ScenarioOutcome {
         name: sc.name.clone(),
         log,
         stats,
@@ -329,7 +358,8 @@ pub fn run_scenario_streamed(
             system_allowance: system_max,
         },
         injected_faulty: sc.faults.overrun_tasks(),
-    })
+    };
+    Ok((outcome, core_logs))
 }
 
 /// Run the same system and fault plan under all five paper treatments, in

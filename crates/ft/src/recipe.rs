@@ -1,24 +1,27 @@
 //! The certification recipe: what a run of a job arms, and what it
 //! certifies at Δmax (the largest injected overrun).
 //!
-//! The scenario harness and the global runner (before a run), the
-//! campaign oracle and trace replay (after it) all ask one [`Recipe`]
-//! session, so their answers cannot drift apart: [`Recipe::baseline`]
-//! gates admission and yields the per-rank baseline, [`Recipe::detection`]
-//! maps a treatment to detector thresholds, and [`Recipe::certify`]
-//! yields the response bound every completed job must respect when
-//! `Δmax` stays within the equitable allowance `A` — or the
-//! [`OracleSkip`] reason none applies. The system-allowance search is not
-//! part of it: its maxima only feed a live run's allowance manager.
+//! The one run body ([`crate::harness::run_on_cores`], before a run),
+//! the campaign oracle and trace replay (after it) all ask one
+//! [`Recipe`] session, so their answers cannot drift apart:
+//! [`Recipe::baseline`] gates admission and yields the per-rank
+//! baseline, [`Recipe::detection`] maps a treatment to detector
+//! thresholds, [`Recipe::system_allowance`] yields the maxima a live
+//! run's allowance manager grants, and [`Recipe::certify`] yields the
+//! response bound every completed job must respect when `Δmax` stays
+//! within the equitable allowance `A` — or the [`OracleSkip`] reason
+//! none applies.
 //!
 //! Implemented here for the exact uniprocessor [`Analyzer`] and in
 //! `rtft_global` for the sufficient-only `GlobalAnalyzer`.
 
 use crate::harness::HarnessError;
 use crate::treatment::Treatment;
+use rtft_core::allowance::SlackPolicy;
 use rtft_core::analyzer::Analyzer;
 use rtft_core::error::AnalysisError;
 use rtft_core::policy::PolicyKind;
+use rtft_core::task::TaskSet;
 use rtft_core::time::Duration;
 
 /// Why a run is not held to a certified response bound.
@@ -47,6 +50,9 @@ impl std::fmt::Display for OracleSkip {
 /// One analysis session's answers to the certification recipe. See the
 /// [module docs](self).
 pub trait Recipe {
+    /// The task set the session analyses.
+    fn task_set(&self) -> &TaskSet;
+
     /// Scheduling policy the session analyses under.
     fn policy(&self) -> PolicyKind;
 
@@ -64,6 +70,11 @@ pub trait Recipe {
     /// Per-rank response bounds with every cost inflated by `dmax`; the
     /// session's costs are left as they were.
     fn inflated(&mut self, dmax: Duration) -> Result<Vec<Duration>, AnalysisError>;
+
+    /// The per-rank system-allowance maxima `M_i` the allowance manager
+    /// grants under `policy` ([`HarnessError::InfeasibleBase`] when the
+    /// set admits none).
+    fn system_allowance(&mut self, policy: SlackPolicy) -> Result<Vec<Duration>, HarnessError>;
 
     /// The detector thresholds `treatment` arms over `baseline` (empty
     /// under [`Treatment::NoDetection`]) and the equitable allowance
@@ -120,6 +131,10 @@ pub trait Recipe {
 }
 
 impl Recipe for Analyzer {
+    fn task_set(&self) -> &TaskSet {
+        Analyzer::task_set(self)
+    }
+
     fn policy(&self) -> PolicyKind {
         self.sched_policy()
     }
@@ -152,5 +167,13 @@ impl Recipe for Analyzer {
         let inflated = self.policy_thresholds();
         self.reset_costs();
         inflated
+    }
+
+    /// The exact uniprocessor search under `policy`.
+    fn system_allowance(&mut self, policy: SlackPolicy) -> Result<Vec<Duration>, HarnessError> {
+        Ok(self
+            .system_allowance_with(policy)?
+            .ok_or(HarnessError::InfeasibleBase)?
+            .max_overrun)
     }
 }

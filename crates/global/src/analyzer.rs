@@ -11,6 +11,7 @@
 //! means "unproven".
 
 use crate::bounds;
+use rtft_core::allowance::SlackPolicy;
 use rtft_core::error::AnalysisError;
 use rtft_core::policy::PolicyKind;
 use rtft_core::task::TaskSet;
@@ -271,6 +272,10 @@ impl GlobalAnalyzer {
 /// global equitable allowance the inflated set passes the sufficient
 /// test, so its stop bounds hold for every completed job.
 impl Recipe for GlobalAnalyzer {
+    fn task_set(&self) -> &TaskSet {
+        &self.set
+    }
+
     fn policy(&self) -> PolicyKind {
         self.policy
     }
@@ -295,6 +300,17 @@ impl Recipe for GlobalAnalyzer {
 
     fn inflated(&mut self, dmax: Duration) -> Result<Vec<Duration>, AnalysisError> {
         Ok(self.stop_thresholds_at(dmax))
+    }
+
+    /// Per-rank [`GlobalAnalyzer::max_single_overrun`]. `SlackPolicy` is
+    /// intentionally ignored: the global interference bound charges an
+    /// overrun against all lower-priority work system-wide, so
+    /// protect-all is the only sound grant policy.
+    fn system_allowance(&mut self, _policy: SlackPolicy) -> Result<Vec<Duration>, HarnessError> {
+        (0..self.set.len())
+            .map(|rank| self.max_single_overrun(rank))
+            .collect::<Option<Vec<Duration>>>()
+            .ok_or(HarnessError::InfeasibleBase)
     }
 }
 

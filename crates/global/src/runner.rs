@@ -1,14 +1,13 @@
 //! The global scenario runner: task set × fault plan × treatment →
-//! core-tagged trace, executed on the migrating engine.
+//! core-tagged trace, on `m` migrating cores.
 //!
-//! This follows `rtft_ft::harness::run_scenario_buffered` step for step
-//! — admission gate and treatment-derived detector thresholds (both from
-//! the one certification recipe, `rtft_ft::recipe`), detector timer
-//! grid, supervised simulation, trace reduction — but drives the
-//! [`GlobalSimulator`] (one shared
-//! wake queue, `m` core slots, free migration) and parameterizes the
-//! treatments from the sufficient-only [`GlobalAnalyzer`] instead of
-//! the exact uniprocessor analysis.
+//! This is the `m`-core case of the one run body,
+//! `rtft_ft::harness::run_on_cores`: the same admission gate, detector
+//! grid, supervised simulation and trace reduction as a uniprocessor
+//! run, on `m` cores of the one engine (one shared ready structure,
+//! free migration), with the treatments parameterized from the
+//! sufficient-only [`GlobalAnalyzer`] (its `Recipe` impl) instead of the
+//! exact uniprocessor analysis.
 //!
 //! The admission gate is strict: a set the sufficient test cannot prove
 //! maps to [`HarnessError::InfeasibleBase`] and never runs. That keeps
@@ -33,17 +32,11 @@
 //!   every lower-priority task on every core, so the only sound grant
 //!   policy is protect-all.
 
-use rtft_core::time::Duration;
-use rtft_ft::harness::{AnalysisSummary, HarnessError, Scenario, ScenarioOutcome};
-use rtft_ft::manager::AllowanceManager;
-use rtft_ft::prelude::{FtSupervisor, Treatment, Verdict};
-use rtft_ft::recipe::Recipe;
-use rtft_sim::engine::{SimBuffers, SimConfig};
-use rtft_sim::global::GlobalSimulator;
+use rtft_ft::harness::{run_on_cores, HarnessError, Scenario, ScenarioOutcome};
+use rtft_sim::engine::SimBuffers;
 use rtft_sim::sink::TraceSink;
-use rtft_sim::supervisor::NullSupervisor;
 use rtft_trace::merge::merged_content_hash;
-use rtft_trace::{TraceLog, TraceStats};
+use rtft_trace::TraceLog;
 
 use crate::analyzer::GlobalAnalyzer;
 
@@ -66,7 +59,8 @@ pub struct GlobalOutcome {
     /// one extra trailing log (index `cores`) holding the platform-level
     /// events (releases, deadline checks, `SimEnd`). Folding these with
     /// [`rtft_trace::merge::merged_content_hash`] reproduces
-    /// `merged_hash`; trace exporters persist them core-tagged.
+    /// `merged_hash`; trace exporters persist them core-tagged. Empty on
+    /// one core, whose trace is the flat `outcome.log`.
     pub core_logs: Vec<(usize, TraceLog)>,
 }
 
@@ -110,9 +104,9 @@ pub fn run_global_buffered(
 /// `sink` (when given) as the simulation produces it: execution events
 /// arrive tagged with their executing core, platform-level events
 /// (releases, detector fires, `SimEnd`) with `None` — the same
-/// attribution [`GlobalSimulator::core_of`](rtft_sim::global::GlobalSimulator)
-/// persists in the core-tagged trace. The outcome is byte-identical to
-/// the unsunk run.
+/// attribution the core-tagged trace persists (see
+/// [`Simulator::core_of`](rtft_sim::engine::Simulator::core_of)). The
+/// outcome is byte-identical to the unsunk run.
 ///
 /// # Errors
 /// As [`run_global`].
@@ -125,82 +119,17 @@ pub fn run_global_streamed(
     bufs: &mut SimBuffers,
     sink: Option<&mut dyn TraceSink>,
 ) -> Result<GlobalOutcome, HarnessError> {
-    assert_eq!(
-        session.task_set(),
-        &sc.set,
-        "run_global_with: session and scenario disagree on the task set"
-    );
-    assert_eq!(
-        session.sched_policy(),
-        sc.policy,
-        "run_global_with: session and scenario disagree on the policy"
-    );
     let cores = session.cores();
-
-    // Sufficient-only admission gate and the thresholds the treatment
-    // arms (the one certification recipe, see the `Recipe` impl).
-    let wcrt = session.baseline()?;
-    let (thresholds, equitable) = session.detection(sc.treatment, &wcrt)?;
-    // SlackPolicy is intentionally ignored (see the module doc): the
-    // global interference bound charges an overrun against all
-    // lower-priority work system-wide, so protect-all is the only sound
-    // grant policy.
-    let system_max = match sc.treatment {
-        Treatment::SystemAllowance { .. } => Some(
-            (0..sc.set.len())
-                .map(|rank| session.max_single_overrun(rank))
-                .collect::<Option<Vec<Duration>>>()
-                .ok_or(HarnessError::InfeasibleBase)?,
-        ),
-        _ => None,
-    };
-    let manager = system_max.clone().map(AllowanceManager::new);
-
-    let config = SimConfig::until(sc.horizon)
-        .with_timer_model(sc.timer_model)
-        .with_stop_model(sc.stop_model)
-        .with_overheads(sc.overheads)
-        .with_policy(sc.policy);
-    let mut sim =
-        GlobalSimulator::new_in(sc.set.clone(), cores, config, bufs).with_faults(sc.faults.clone());
-
-    let (core_logs, log) = if sc.treatment.has_detection() {
-        let mut sup = FtSupervisor::new(sc.treatment, thresholds.clone(), wcrt.clone(), manager);
-        for (first, period, tag) in sup.detector_specs(&sc.set) {
-            sim.add_periodic_timer(first, period, tag);
-        }
-        match sink {
-            Some(s) => sim.run_streamed(&mut sup, s),
-            None => sim.run(&mut sup),
-        };
-        (sim.core_logs(), sim.finish(bufs))
+    let (outcome, core_logs) = run_on_cores(sc, session, cores, bufs, sink)?;
+    let refs: Vec<(usize, &TraceLog)> = if core_logs.is_empty() {
+        // One core keeps no split: its only log is the whole trace.
+        vec![(0, &outcome.log)]
     } else {
-        let mut sup = NullSupervisor;
-        match sink {
-            Some(s) => sim.run_streamed(&mut sup, s),
-            None => sim.run(&mut sup),
-        };
-        (sim.core_logs(), sim.finish(bufs))
+        core_logs.iter().map(|(c, l)| (*c, l)).collect()
     };
-
-    let refs: Vec<(usize, &TraceLog)> = core_logs.iter().map(|(c, l)| (*c, l)).collect();
     let merged_hash = merged_content_hash(&refs);
-    let stats = TraceStats::from_log(&log, Some(&sc.set));
-    let verdict = Verdict::new(&sc.set, &stats);
     Ok(GlobalOutcome {
-        outcome: ScenarioOutcome {
-            name: sc.name.clone(),
-            log,
-            stats,
-            verdict,
-            analysis: AnalysisSummary {
-                wcrt,
-                thresholds,
-                equitable,
-                system_allowance: system_max,
-            },
-            injected_faulty: sc.faults.overrun_tasks(),
-        },
+        outcome,
         cores,
         merged_hash,
         core_logs,
@@ -211,7 +140,9 @@ pub fn run_global_streamed(
 mod tests {
     use super::*;
     use rtft_core::task::{TaskBuilder, TaskId, TaskSet};
+    use rtft_core::time::Duration;
     use rtft_core::time::Instant;
+    use rtft_ft::treatment::Treatment;
     use rtft_sim::fault::FaultPlan;
     use rtft_sim::stop::StopMode;
     use rtft_trace::event::EventKind;
@@ -327,6 +258,17 @@ mod tests {
             b.outcome.analysis.system_allowance
         );
         assert_eq!(a.merged_hash, b.merged_hash);
+    }
+
+    #[test]
+    fn one_core_run_hashes_its_flat_log() {
+        let out = run_global(&scenario(Treatment::DetectOnly), 1).unwrap();
+        assert_eq!(out.cores, 1);
+        assert!(out.core_logs.is_empty(), "one core keeps no split");
+        assert_eq!(
+            out.merged_hash,
+            merged_content_hash(&[(0, &out.outcome.log)])
+        );
     }
 
     #[test]

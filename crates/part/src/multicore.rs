@@ -1,10 +1,10 @@
 //! Multicore partitioned execution.
 //!
-//! Partitioned scheduling runs one independent uniprocessor engine per
-//! core over a shared virtual clock: no task migrates, so the cores
-//! never interact and each core's schedule is exactly what the
-//! single-CPU [`Simulator`](rtft_sim::engine::Simulator) produces for
-//! the core's subset. [`run_partitioned`] exploits that: every occupied
+//! Partitioned scheduling runs one independent one-core engine per core
+//! over a shared virtual clock: no task migrates, so the cores never
+//! interact and each core's schedule is exactly what a one-core
+//! [`Simulator`](rtft_sim::engine::Simulator) produces for the core's
+//! subset. [`run_partitioned`] exploits that: every occupied
 //! core becomes an ordinary [`Scenario`] (the core's task set, the fault
 //! plan restricted to it, the same treatment/platform/policy) executed
 //! through the unchanged `run_scenario_with` path — detectors, allowance

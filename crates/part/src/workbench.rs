@@ -131,7 +131,7 @@ pub enum PlacedRun {
     Uni(ScenarioOutcome),
     /// Partitioned cores: one uniprocessor outcome per occupied core.
     Partitioned(MulticoreOutcome),
-    /// Global cores: the migrating engine's merged outcome.
+    /// Global cores: the `m`-core run's merged outcome.
     Global(GlobalOutcome),
 }
 

@@ -141,6 +141,20 @@ fn unparsable_batches_answer_422_with_a_parse_diagnostic() {
 }
 
 #[test]
+fn oversized_core_counts_answer_422_and_the_daemon_keeps_serving() {
+    let (handle, client) = spawn(|_| {});
+    let batch = "system big\ntask t1 1 100 100 20\ncores 99999999999\nquery feasibility\n";
+    let reply = client.post_query(batch, false).expect("query");
+    assert_eq!(reply.status, 422, "{}", reply.body);
+    assert!(reply.body.contains("bad core count"), "{}", reply.body);
+    // The daemon is still up and answers the next request.
+    let reply = client.post_query(PAPER_BATCH, false).expect("query");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(reply.body, reference(PAPER_BATCH, false));
+    handle.shutdown();
+}
+
+#[test]
 fn malformed_http_answers_400_and_oversize_answers_413() {
     use std::io::{Read as _, Write as _};
     let (handle, client) = spawn(|cfg| cfg.max_body = 64);

@@ -16,20 +16,19 @@
 //! * [`TimerComponent`] — one per registered timer (the paper's
 //!   detectors on the jRate quantized grid);
 //! * [`OneShotComponent`] — supervisor-armed one-shots (allowance stop
-//!   points), multiplexed onto one component;
-//! * [`CpuComponent`] — the processor itself: its wake is the running
-//!   job's completion, re-armed by the engine on every dispatch,
-//!   overhead charge or polled-stop re-dispatch.
+//!   points), multiplexed onto one component.
 //!
-//! Components own their wake state; cross-component effects (dispatch,
-//! preemption, stops, overhead charges) stay at engine scope where the
-//! wake queue is visible. After each tick the engine re-keys the ticked
+//! The processors are not components: each core's wake is its running
+//! job's completion, kept in a register beside the queue by the engine
+//! (see `crate::engine`). Components own their wake state;
+//! cross-component effects (dispatch, preemption, stops, overhead
+//! charges) stay at engine scope where the wake queue and the cores are
+//! visible. After each tick the engine re-keys the ticked
 //! component from `next_tick()`, so the queue always holds exactly one
 //! entry per awake component.
 
 use crate::engine::System;
 use crate::event::{Wake, WakeClass};
-use crate::process::JobOutcome;
 use crate::supervisor::Occurrence;
 use crate::timer::TimerSpec;
 use rtft_core::task::TaskId;
@@ -244,77 +243,5 @@ impl Component for OneShotComponent {
     fn tick(&mut self, _now: Instant, sys: &mut System) {
         let Reverse((_, tag)) = self.pending.pop().expect("one-shot wake due");
         sys.notify(Occurrence::OneShotFired { tag });
-    }
-}
-
-/// The processor: its wake is the running job's completion.
-///
-/// The engine re-arms it on every dispatch, overhead charge and
-/// polled-stop re-dispatch, and disarms it when the running job is
-/// abandoned in place — so unlike the historical global queue there are
-/// no stale completion events to skip: a completion wake always belongs
-/// to the currently running job.
-#[derive(Default)]
-pub struct CpuComponent {
-    armed: Option<Wake>,
-}
-
-impl CpuComponent {
-    /// Arm (or re-arm) the running job's completion.
-    pub(crate) fn arm(&mut self, wake: Wake) {
-        self.armed = Some(wake);
-    }
-
-    /// Disarm the completion (the running job was abandoned in place).
-    pub(crate) fn disarm(&mut self) {
-        self.armed = None;
-    }
-}
-
-impl Component for CpuComponent {
-    fn next_tick(&self) -> Option<Wake> {
-        self.armed
-    }
-
-    fn tick(&mut self, now: Instant, sys: &mut System) {
-        self.armed = None;
-        let rank = sys.state.running.expect("completion wake while idle");
-        let task = sys.state.set.by_rank(rank).id;
-        let elapsed = now - sys.state.dispatched_at;
-        sys.state.procs[rank].account(elapsed);
-        let doomed = sys.state.procs[rank].front().is_some_and(|j| j.doomed);
-        let outcome = if doomed {
-            JobOutcome::Abandoned
-        } else {
-            JobOutcome::Finished
-        };
-        let job = sys.state.procs[rank].retire_front(outcome);
-        sys.sync_policy(rank);
-        sys.state.running = None;
-        if doomed {
-            sys.trace.push(
-                now,
-                EventKind::TaskStopped {
-                    task,
-                    job: job.index,
-                },
-            );
-            sys.notify(Occurrence::JobAbandoned {
-                rank,
-                job: job.index,
-            });
-        } else {
-            sys.trace.push(
-                now,
-                EventKind::JobEnd {
-                    task,
-                    job: job.index,
-                },
-            );
-            sys.notify(Occurrence::JobFinished {
-                rank,
-                job: job.index,
-            });
-        }
     }
 }

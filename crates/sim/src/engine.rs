@@ -1,20 +1,23 @@
-//! The discrete-event component engine: a single-CPU scheduler over
-//! virtual time with a pluggable dispatch rule.
+//! The discrete-event component engine: a scheduler over virtual time
+//! on `m ≥ 1` cores with a pluggable dispatch rule.
 //!
 //! The engine is a wake-queue loop over [`Component`]s (see
-//! [`crate::component`]): each task, timer, supervisor one-shot and the
-//! CPU itself sleeps until its own next wake, and the engine pops the
-//! minimum `(time, class, seq)` key from an indexed min-heap
+//! [`crate::component`]): each task, timer and supervisor one-shot
+//! sleeps until its own next wake, and the engine pops the minimum
+//! `(time, class, seq)` key from an indexed min-heap
 //! ([`crate::event::WakeQueue`]), ticks exactly that component, lets the
 //! supervisor react, and re-evaluates dispatch. Idle tasks cost nothing
 //! between their wakes, so cost scales with event count, not task count.
 //!
-//! Multiprocessor execution is composed, not built in: under
-//! partitioned scheduling (`rtft-part`) nothing migrates, so a
-//! multicore run is one independent `Simulator` per core over a shared
+//! One engine serves every placement. A uniprocessor run — the paper's
+//! platform — is the one-core case ([`Simulator::new`]). Under global
+//! placement `m` cores share the one ready structure and a job may
+//! resume on a different core than it was preempted on (migration is
+//! free, as the global analyses of `rtft-global` assume). Under
+//! partitioned placement (`rtft-part`) nothing migrates, so a multicore
+//! run is one independent one-core engine per core over a shared
 //! virtual clock, with the per-core traces recombined by
-//! `rtft_trace::merge` into a core-tagged stream. The engine itself
-//! stays single-CPU and deterministic.
+//! `rtft_trace::merge`.
 //!
 //! This is the substrate substituting for the paper's execution platform
 //! (jRate VM on a TimeSys RT-Linux kernel): it executes a [`TaskSet`] with
@@ -29,17 +32,30 @@
 //! paper's platform; EDF and non-preemptive FP are also provided — see
 //! [`crate::policy`]). The policy owns an index-based ready structure the
 //! engine keeps in sync; it is the dispatch layer underneath the wake
-//! loop. Invariants independent of the policy:
+//! loop. The dispatch rule: the policy's best `m` ready ranks run. Idle
+//! cores are filled lowest-index-first; when no core is idle, a top-`m`
+//! challenger takes the core of the dispatch-order-last incumbent that
+//! fell out of the top `m`, but only under the policy's *strict*
+//! preemption relation — equal priorities and equal deadlines never
+//! swap. Invariants independent of the policy:
 //!
 //! * within a task, jobs run FIFO (required for `D > T`);
 //! * dispatch and preemption decisions are deterministic (policy ties
-//!   break on stable task attributes, never on insertion order);
+//!   break on stable task attributes, core ties on the core index);
 //! * traces are bit-for-bit reproducible: the wake order is a total
 //!   order and every wake is keyed by a deterministic sequence number
 //!   drawn at scheduling time (see [`crate::event`]).
+//!
+//! On more than one core the engine also attributes each trace event:
+//! execution events (starts, resumes, preemptions, completions, stops of
+//! a running job, per-core idle notes) carry the core they happened on,
+//! platform-level events (releases, deadline checks, supervisor markers,
+//! the end-of-run marker) carry none. [`Simulator::core_logs`] splits
+//! the log along that attribution for `rtft_trace::merge`. A one-core
+//! run keeps no attribution: its trace is the flat log.
 
 use crate::arrival::ArrivalModel;
-use crate::component::{Component, CpuComponent, OneShotComponent, TaskComponent, TimerComponent};
+use crate::component::{Component, OneShotComponent, TaskComponent, TimerComponent};
 use crate::event::{Wake, WakeClass, WakeQueue};
 use crate::fault::FaultPlan;
 use crate::overhead::Overheads;
@@ -49,10 +65,17 @@ use crate::sink::TraceSink;
 use crate::stop::{StopMode, StopModel};
 use crate::supervisor::{Command, Occurrence, Supervisor};
 use crate::timer::{TimerModel, TimerSpec};
+use rtft_core::query::MAX_CORES;
 use rtft_core::task::TaskSet;
 use rtft_core::time::{Duration, Instant};
 use rtft_trace::{EventKind, TraceLog};
 use std::collections::VecDeque;
+
+/// Core attribution of platform-level events (no specific core); the
+/// core-index range is therefore `0..u16::MAX`, which is what bounds
+/// every core count read from input ([`MAX_CORES`]).
+const PLATFORM: u16 = u16::MAX;
+const _: () = assert!(MAX_CORES == PLATFORM as usize);
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -113,14 +136,13 @@ impl SimConfig {
     }
 }
 
-/// Read-only scheduler state exposed to supervisors.
+/// Read-only scheduler state exposed to supervisors. Supervisors
+/// introspect jobs, never cores.
 #[derive(Debug)]
 pub struct SimState {
     pub(crate) set: TaskSet,
     pub(crate) now: Instant,
     pub(crate) procs: Vec<TaskProcess>,
-    pub(crate) running: Option<usize>,
-    pub(crate) dispatched_at: Instant,
 }
 
 impl SimState {
@@ -152,23 +174,6 @@ impl SimState {
     /// `true` iff the task was permanently stopped.
     pub fn is_dead(&self, rank: usize) -> bool {
         self.procs[rank].is_dead()
-    }
-
-    /// Rank currently holding the CPU.
-    pub fn running(&self) -> Option<usize> {
-        self.running
-    }
-
-    /// Head job of a task and the CPU it has consumed **including** the
-    /// current dispatch interval.
-    pub fn front_job(&self, rank: usize) -> Option<(u64, Duration)> {
-        self.procs[rank].front().map(|job| {
-            let mut consumed = job.consumed;
-            if self.running == Some(rank) {
-                consumed += self.now - self.dispatched_at;
-            }
-            (job.index, consumed)
-        })
     }
 }
 
@@ -248,7 +253,7 @@ impl System {
 /// ]);
 /// let mut bufs = SimBuffers::new();
 /// for _ in 0..3 {
-///     let mut sim = Simulator::new_in(set.clone(), SimConfig::until(Instant::from_millis(500)), &mut bufs);
+///     let mut sim = Simulator::new_in(set.clone(), 1, SimConfig::until(Instant::from_millis(500)), &mut bufs);
 ///     sim.run(&mut NullSupervisor);
 ///     let log = sim.finish(&mut bufs);
 ///     bufs.recycle_log(log);
@@ -276,31 +281,66 @@ impl SimBuffers {
     }
 }
 
-/// The simulator.
+/// One processor: its running assignment and its completion register.
+/// Completions are the most frequently re-armed wakes (every dispatch,
+/// preemption and overhead charge), so they stay out of the wake heap
+/// and are compared against its root instead — completion traffic
+/// costs no sifts.
+#[derive(Clone, Copy, Debug, Default)]
+struct CoreSlot {
+    /// Rank currently dispatched here.
+    running: Option<usize>,
+    /// When the current dispatch interval started. Consumed CPU is
+    /// accounted lazily, when the interval ends or is charged.
+    dispatched_at: Instant,
+    /// The running job's completion wake. It always belongs to the
+    /// running job: every re-dispatch re-arms it and an in-place
+    /// abandonment disarms it, so no stale completion ever fires.
+    completion: Option<Wake>,
+    /// `true` once this core has ever run a job (gates idle notes).
+    ever_busy: bool,
+    /// `true` while an idle note for the current gap has been emitted.
+    idle_noted: bool,
+}
+
+/// The simulator: `m ≥ 1` cores over one wake queue and one ready
+/// structure (see the module docs).
 pub struct Simulator {
     sys: System,
     wakes: WakeQueue,
     tasks: Vec<TaskComponent>,
     timer_components: Vec<TimerComponent>,
     oneshots: OneShotComponent,
-    cpu: CpuComponent,
+    cores: Vec<CoreSlot>,
     timers: Vec<TimerSpec>,
     config: SimConfig,
-    cpu_ever_busy: bool,
-    idle_since: Option<Instant>,
+    /// Core attribution per trace event, on more than one core only.
+    /// Filled up to the last execution event; later events (and every
+    /// `PLATFORM` entry) are platform-level.
+    core_tags: Vec<u16>,
+    /// Scratch: the policy's current top-`m` ready ranks.
+    desired: Vec<usize>,
     events_processed: u64,
     finished: bool,
 }
 
 impl Simulator {
-    /// Build a simulator for `set` under `config`.
+    /// Build a one-core simulator for `set` under `config` — the
+    /// paper's uniprocessor platform.
     pub fn new(set: TaskSet, config: SimConfig) -> Self {
-        let mut bufs = SimBuffers::default();
-        Simulator::new_in(set, config, &mut bufs)
+        Simulator::new_in(set, 1, config, &mut SimBuffers::default())
     }
 
-    /// Build a simulator reusing `bufs`' storage (see [`SimBuffers`]).
-    pub fn new_in(set: TaskSet, config: SimConfig, bufs: &mut SimBuffers) -> Self {
+    /// Build a simulator for `set` on `cores` processors, reusing
+    /// `bufs`' storage (see [`SimBuffers`]).
+    ///
+    /// # Panics
+    /// Panics unless `1 ≤ cores ≤ MAX_CORES` (the core-attribution range).
+    pub fn new_in(set: TaskSet, cores: usize, config: SimConfig, bufs: &mut SimBuffers) -> Self {
+        assert!(
+            (1..=MAX_CORES).contains(&cores),
+            "a platform needs at least one core and at most {MAX_CORES} cores"
+        );
         let n = set.len();
         let policy = PolicyImpl::build(config.policy, &set);
         let mut trace = std::mem::take(&mut bufs.trace);
@@ -313,8 +353,6 @@ impl Simulator {
                     set,
                     now: Instant::EPOCH,
                     procs: (0..n).map(|_| TaskProcess::new()).collect(),
-                    running: None,
-                    dispatched_at: Instant::EPOCH,
                 },
                 policy,
                 trace,
@@ -328,11 +366,11 @@ impl Simulator {
             tasks: Vec::new(),
             timer_components: Vec::new(),
             oneshots: OneShotComponent::default(),
-            cpu: CpuComponent::default(),
+            cores: vec![CoreSlot::default(); cores],
             timers: Vec::new(),
             config,
-            cpu_ever_busy: false,
-            idle_since: None,
+            core_tags: Vec::new(),
+            desired: Vec::new(),
             events_processed: 0,
             finished: false,
         }
@@ -365,26 +403,23 @@ impl Simulator {
     /// `period` steps exactly. Returns the timer id.
     pub fn add_periodic_timer(&mut self, first: Duration, period: Duration, tag: u64) -> usize {
         assert!(period.is_positive(), "timer period must be positive");
-        let first = Instant::EPOCH + self.config.timer_model.first_release(first);
-        let id = self.timers.len();
-        self.timers.push(TimerSpec {
-            first,
-            period: Some(period),
-            tag,
-        });
-        id
+        self.add_timer(first, Some(period), tag)
     }
 
     /// Register a one-shot timer (same quantization rule).
     pub fn add_one_shot_timer(&mut self, at: Duration, tag: u64) -> usize {
-        let first = Instant::EPOCH + self.config.timer_model.first_release(at);
-        let id = self.timers.len();
-        self.timers.push(TimerSpec {
-            first,
-            period: None,
-            tag,
-        });
-        id
+        self.add_timer(at, None, tag)
+    }
+
+    fn add_timer(&mut self, first: Duration, period: Option<Duration>, tag: u64) -> usize {
+        let first = Instant::EPOCH + self.config.timer_model.first_release(first);
+        self.timers.push(TimerSpec { first, period, tag });
+        self.timers.len() - 1
+    }
+
+    /// Number of cores.
+    pub fn cores(&self) -> usize {
+        self.cores.len()
     }
 
     /// Read-only state (exposed for tests and harnesses).
@@ -411,18 +446,51 @@ impl Simulator {
         self.sys.trace
     }
 
-    /// Wakes processed by the engine loop (engine introspection; with
-    /// the component engine this is an *event* count — idle tasks
-    /// contribute nothing between their wakes).
+    /// Wakes processed by the engine loop (an *event* count — idle
+    /// tasks contribute nothing between their wakes).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
 
-    /// Component id of the one-shot multiplexer. The CPU has no heap
-    /// id: its single completion wake lives in a register beside the
-    /// queue (see `run`).
+    /// Core of trace event `idx`, or `None` for platform-level events
+    /// (releases, deadline checks, supervisor markers, `SimEnd`) and
+    /// for every event of a one-core run.
+    pub fn core_of(&self, idx: usize) -> Option<usize> {
+        match self.core_tags.get(idx) {
+            Some(&c) if c != PLATFORM => Some(usize::from(c)),
+            _ => None,
+        }
+    }
+
+    /// Split the log along [`Self::core_of`] into per-core logs for
+    /// `rtft_trace::merge`: indices `0..m` are the cores, index `m`
+    /// collects the platform-level events. Each log preserves the
+    /// engine's chronological order.
+    pub fn core_logs(&self) -> Vec<(usize, TraceLog)> {
+        let m = self.cores.len();
+        let mut logs: Vec<(usize, TraceLog)> = (0..=m).map(|c| (c, TraceLog::default())).collect();
+        for (idx, e) in self.sys.trace.events().iter().enumerate() {
+            let bucket = self.core_of(idx).unwrap_or(m);
+            logs[bucket].1.push(e.at, e.kind);
+        }
+        logs
+    }
+
+    /// Component id of the one-shot multiplexer; core `k`'s completion
+    /// register answers to the id `oneshot_cid + 1 + k`.
     fn oneshot_cid(&self) -> usize {
         self.tasks.len() + self.timer_components.len()
+    }
+
+    /// Attribute the event just recorded to core `k` (on more than one
+    /// core; a one-core run keeps no attribution).
+    #[inline]
+    fn tag_last(&mut self, k: usize) {
+        if self.cores.len() > 1 {
+            let idx = self.sys.trace.len() - 1;
+            self.core_tags.resize(idx, PLATFORM);
+            self.core_tags.push(k as u16);
+        }
     }
 
     /// Run to the horizon under `supervisor`. May be called once.
@@ -434,8 +502,8 @@ impl Simulator {
     }
 
     /// Like [`Self::run`], but also feed every recorded event to `sink`
-    /// as soon as the wake that produced it is processed (`core: None`
-    /// — this engine is single-CPU). The recorded trace is
+    /// as soon as the wake that produced it is processed, with the
+    /// attribution [`Self::core_of`] reports. The recorded trace is
     /// byte-identical with and without a sink: the sink observes the
     /// log, it never alters it.
     ///
@@ -466,6 +534,7 @@ impl Simulator {
         self.sys
             .trace
             .reserve(trace_estimate(&self.sys.state.set, self.config.horizon));
+        self.core_tags.clear();
 
         // Build the components with their first wakes armed: tasks in
         // rank order, then timers in registration order (the sequence
@@ -506,26 +575,30 @@ impl Simulator {
         // re-pushing — one sift per event. Wakes armed *during* a tick
         // (a completion charge, a cancelled deadline) are always keyed
         // later than the root, so the root entry stays put until its
-        // rekey.
-        //
-        // The CPU stays out of the heap altogether: its single
-        // completion wake is the most frequently re-armed key in the
-        // system (every dispatch, preemption and overhead charge), so
-        // it lives in a register (`CpuComponent::next_tick`) compared
-        // against the heap root here — completion traffic costs no
-        // sifts at all. Keys are unique (one sequence number per
-        // scheduling decision), so `<` is an exact tie-break.
+        // rekey. The due wake is the minimum over the heap root and the
+        // core completion registers; keys are unique (one sequence
+        // number per scheduling decision), so `<` is an exact tie-break.
         loop {
-            let (wake, cid) = match (self.wakes.peek(), self.cpu.next_tick()) {
-                (Some((hw, hc)), Some(cw)) => {
+            // The earliest core completion: on one core its register
+            // itself, read directly since this runs on every event.
+            let core_due = match &self.cores[..] {
+                [core] => core.completion.map(|w| (w, 0)),
+                cores => cores
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(k, c)| c.completion.map(|w| (w, k)))
+                    .min(),
+            };
+            let (wake, cid) = match (self.wakes.peek(), core_due) {
+                (Some((hw, hc)), Some((cw, k))) => {
                     if cw < hw {
-                        (cw, usize::MAX)
+                        (cw, oneshot_cid + 1 + k)
                     } else {
                         (hw, hc)
                     }
                 }
-                (Some((hw, hc)), None) => (hw, hc),
-                (None, Some(cw)) => (cw, usize::MAX),
+                (Some(heap), None) => heap,
+                (None, Some((cw, k))) => (cw, oneshot_cid + 1 + k),
                 (None, None) => break,
             };
             let now = wake.at();
@@ -539,11 +612,11 @@ impl Simulator {
                 let next = self.tasks[cid].next_tick();
                 self.wakes.rekey_min(cid, next);
             } else if cid < oneshot_cid {
-                // A firing preempts the running job for the handler's
+                // A firing preempts a running job for the handler's
                 // duration (paper §6.2: "that of a pre-emption") — the
                 // charge (a completion re-arm) precedes the timer
                 // re-arm in sequence order.
-                self.charge_running(self.config.overheads.detector_fire);
+                self.charge_detector_fire();
                 let timer = &mut self.timer_components[cid - n];
                 timer.tick(now, &mut self.sys);
                 let next = timer.next_tick();
@@ -552,43 +625,68 @@ impl Simulator {
                 self.oneshots.tick(now, &mut self.sys);
                 self.wakes.rekey_min(cid, self.oneshots.next_tick());
             } else {
-                // Capture the retiring job before the tick so an
-                // on-time completion can cancel its deadline check.
-                let before = self.sys.state.running.map(|r| {
-                    (
-                        r,
-                        self.sys.state.procs[r].front().expect("running job").index,
-                    )
-                });
-                self.cpu.tick(now, &mut self.sys);
-                if let Some((rank, job)) = before {
-                    if self.sys.state.procs[rank].is_finished(job) {
-                        self.tasks[rank].cancel_deadline(job);
-                        self.wakes.arm(rank, self.tasks[rank].next_tick());
-                    }
-                }
+                self.complete_on(cid - oneshot_cid - 1);
             }
             self.drain_occurrences(supervisor);
-            self.reschedule_cpu();
+            self.reschedule();
             if let Some(s) = sink.as_mut() {
-                while fed < self.sys.trace.len() {
-                    let e = self.sys.trace.events()[fed];
-                    s.record(None, e.at, e.kind);
-                    fed += 1;
-                }
+                fed = self.feed(&mut **s, fed);
             }
         }
         self.sys.state.now = self.config.horizon;
         self.sys.trace.push(self.config.horizon, EventKind::SimEnd);
         if let Some(s) = sink.as_mut() {
-            while fed < self.sys.trace.len() {
-                let e = self.sys.trace.events()[fed];
-                s.record(None, e.at, e.kind);
-                fed += 1;
-            }
+            self.feed(&mut **s, fed);
         }
         self.finished = true;
         &self.sys.trace
+    }
+
+    /// Stream the events from `fed` on to `sink`; returns the new cursor.
+    fn feed(&self, sink: &mut dyn TraceSink, mut fed: usize) -> usize {
+        while fed < self.sys.trace.len() {
+            let e = self.sys.trace.events()[fed];
+            sink.record(self.core_of(fed), e.at, e.kind);
+            fed += 1;
+        }
+        fed
+    }
+
+    /// Retire the job completing on core `k`.
+    fn complete_on(&mut self, k: usize) {
+        let now = self.sys.state.now;
+        let core = &mut self.cores[k];
+        let rank = core
+            .running
+            .take()
+            .expect("completion wake on an idle core");
+        core.completion = None;
+        let elapsed = now - core.dispatched_at;
+        let task = self.sys.task_id(rank);
+        let proc = &mut self.sys.state.procs[rank];
+        proc.account(elapsed);
+        let doomed = proc.front().is_some_and(|j| j.doomed);
+        let outcome = if doomed {
+            JobOutcome::Abandoned
+        } else {
+            JobOutcome::Finished
+        };
+        let job = proc.retire_front(outcome).index;
+        self.sys.sync_policy(rank);
+        if doomed {
+            self.sys
+                .trace
+                .push(now, EventKind::TaskStopped { task, job });
+            self.tag_last(k);
+            self.sys.notify(Occurrence::JobAbandoned { rank, job });
+        } else {
+            self.sys.trace.push(now, EventKind::JobEnd { task, job });
+            self.tag_last(k);
+            self.sys.notify(Occurrence::JobFinished { rank, job });
+            // An on-time completion cancels its deadline check.
+            self.tasks[rank].cancel_deadline(job);
+            self.wakes.arm(rank, self.tasks[rank].next_tick());
+        }
     }
 
     fn drain_occurrences(&mut self, supervisor: &mut dyn Supervisor) {
@@ -614,20 +712,26 @@ impl Simulator {
         }
     }
 
+    /// Bank the live interval of the job running on core `k`, so its
+    /// `consumed` and `remaining` are current at `now`.
+    fn account_live(&mut self, k: usize) {
+        let now = self.sys.state.now;
+        let core = &mut self.cores[k];
+        let rank = core.running.expect("accounting an idle core");
+        let elapsed = now - core.dispatched_at;
+        if elapsed.is_positive() {
+            self.sys.state.procs[rank].account(elapsed);
+            core.dispatched_at = now;
+        }
+    }
+
     fn stop_task(&mut self, rank: usize, mode: StopMode) {
         let now = self.sys.state.now;
         let task = self.sys.task_id(rank);
-        let was_running = self.sys.state.running == Some(rank);
+        let on_core = self.cores.iter().position(|c| c.running == Some(rank));
         if self.sys.state.procs[rank].front().is_some() {
-            // CPU consumed by the head job, including the live interval.
-            let live = if was_running {
-                now - self.sys.state.dispatched_at
-            } else {
-                Duration::ZERO
-            };
-            if was_running && live.is_positive() {
-                self.sys.state.procs[rank].account(live);
-                self.sys.state.dispatched_at = now;
+            if let Some(k) = on_core {
+                self.account_live(k);
             }
             let job = *self.sys.state.procs[rank].front().expect("checked above");
             let extra = self.config.stop_model.extra_runtime(job.consumed);
@@ -636,9 +740,9 @@ impl Simulator {
                 // nothing to doom.
             } else if extra.is_zero() {
                 let retired = self.sys.state.procs[rank].retire_front(JobOutcome::Abandoned);
-                if was_running {
-                    self.sys.state.running = None;
-                    self.cpu.disarm();
+                if let Some(k) = on_core {
+                    self.cores[k].running = None;
+                    self.cores[k].completion = None;
                 }
                 self.sys.trace.push(
                     now,
@@ -647,13 +751,16 @@ impl Simulator {
                         job: retired.index,
                     },
                 );
+                if let Some(k) = on_core {
+                    self.tag_last(k);
+                }
                 self.sys.notify(Occurrence::JobAbandoned {
                     rank,
                     job: retired.index,
                 });
             } else {
-                // Doom the job: it runs `extra` more CPU, then is abandoned
-                // (by the CPU component) — the polled stop flag.
+                // Doom the job: it runs `extra` more CPU, then is
+                // abandoned at its completion — the polled stop flag.
                 let front = self.sys.state.procs[rank]
                     .front_mut()
                     .expect("checked above");
@@ -662,10 +769,9 @@ impl Simulator {
                     front.remaining = extra;
                 }
                 let remaining = front.remaining;
-                if was_running {
+                if let Some(k) = on_core {
                     // Re-arm with the shortened remaining time.
-                    let seq = self.sys.next_seq();
-                    self.arm_completion(now + remaining, seq);
+                    self.arm_completion(k, now + remaining);
                 }
             }
         }
@@ -675,72 +781,121 @@ impl Simulator {
         self.sys.sync_policy(rank);
     }
 
-    /// Charge `amount` of extra CPU to the currently running job and
-    /// re-arm its completion. No-op when idle or the charge is zero.
-    fn charge_running(&mut self, amount: Duration) {
+    /// Charge the detector-fire overhead to the job on the
+    /// lowest-indexed busy core (the only core on a uniprocessor) and
+    /// re-arm its completion. No-op when the charge is zero or every
+    /// core is idle.
+    fn charge_detector_fire(&mut self) {
+        let amount = self.config.overheads.detector_fire;
         if amount.is_zero() {
             return;
         }
-        let Some(rank) = self.sys.state.running else {
+        let Some(k) = self.cores.iter().position(|c| c.running.is_some()) else {
             return;
         };
-        let now = self.sys.state.now;
-        let elapsed = now - self.sys.state.dispatched_at;
-        if elapsed.is_positive() {
-            self.sys.state.procs[rank].account(elapsed);
-            self.sys.state.dispatched_at = now;
-        }
+        self.account_live(k);
+        let rank = self.cores[k].running.expect("position checked");
         let job = self.sys.state.procs[rank]
             .front_mut()
             .expect("running job present");
         job.remaining += amount;
         job.demand += amount;
         let remaining = job.remaining;
+        self.arm_completion(k, self.sys.state.now + remaining);
+    }
+
+    /// (Re-)arm core `k`'s completion register, drawing a sequence number.
+    fn arm_completion(&mut self, k: usize, at: Instant) {
         let seq = self.sys.next_seq();
-        self.arm_completion(now + remaining, seq);
+        self.cores[k].completion = Some(Wake::new(at, WakeClass::Completion, seq));
     }
 
-    /// (Re-)arm the CPU's completion wake (a register, not a heap
-    /// entry — see the loop in `run`).
-    fn arm_completion(&mut self, at: Instant, seq: u64) {
-        self.cpu.arm(Wake::new(at, WakeClass::Completion, seq));
-    }
-
-    fn reschedule_cpu(&mut self) {
-        // The policy's ready structure answers in O(1)–O(log n); the
-        // running task stays in it, so `pick` may return the incumbent
-        // (which is a no-op here).
-        let best = self.sys.policy.pick();
-        match (self.sys.state.running, best) {
-            (_, None) => {
-                if self.sys.state.running.is_none() {
-                    self.note_idle();
+    /// Re-evaluate dispatch after an event: the policy's top `m` ready
+    /// ranks should hold the cores. See the module docs for the rule.
+    fn reschedule(&mut self) {
+        if self.cores.len() == 1 {
+            // One core: the top-1 rank is the policy's `pick`, and the
+            // placement pass reduces to "dispatch it on the idle core,
+            // or let it preempt the incumbent". This runs on every
+            // event, so it skips the pass's scratch list and core scans.
+            match (self.cores[0].running, self.sys.policy.pick()) {
+                (None, Some(b)) => self.dispatch(0, b),
+                (Some(r), Some(b)) if b != r && self.sys.policy.preempts(r, b) => {
+                    self.preempt(0, r, b);
+                    self.dispatch(0, b);
                 }
+                (None, None) => self.note_idle(0),
+                _ => {}
             }
-            (None, Some(b)) => self.dispatch(b),
-            (Some(r), Some(b)) => {
-                if b != r && self.sys.policy.preempts(r, b) {
-                    self.preempt(r, b);
-                    self.dispatch(b);
-                }
+        } else {
+            self.place_top_m();
+            for k in 0..self.cores.len() {
+                self.note_idle(k);
             }
         }
     }
 
-    fn note_idle(&mut self) {
-        if self.cpu_ever_busy && self.idle_since.is_none() {
-            self.idle_since = Some(self.sys.state.now);
+    /// Note core `k`'s idle gap once, when it is still idle after
+    /// placement (it has nothing it could run).
+    fn note_idle(&mut self, k: usize) {
+        let core = &mut self.cores[k];
+        if core.running.is_none() && core.ever_busy && !core.idle_noted {
+            core.idle_noted = true;
             self.sys.trace.push(self.sys.state.now, EventKind::CpuIdle);
+            self.tag_last(k);
         }
     }
 
-    fn dispatch(&mut self, rank: usize) {
+    /// Place the policy's top `m` ready ranks on `m > 1` cores: idle
+    /// cores first, then strict preemption of the incumbents that fell
+    /// out of the top `m`. Kept out of line so the one-core dispatch
+    /// path in [`Self::reschedule`] stays small.
+    #[inline(never)]
+    fn place_top_m(&mut self) {
+        let mut desired = std::mem::take(&mut self.desired);
+        self.sys.policy.top(self.cores.len(), &mut desired);
+        for &u in &desired {
+            if self.cores.iter().any(|c| c.running == Some(u)) {
+                continue;
+            }
+            if let Some(k) = self.cores.iter().position(|c| c.running.is_none()) {
+                self.dispatch(k, u);
+                continue;
+            }
+            // No idle core: the challenger may take the core of the
+            // dispatch-order-last incumbent that fell out of the
+            // top m. Challengers arrive best-first and victims are
+            // taken worst-first, so the first failed `preempts` ends
+            // the pass for every remaining challenger too.
+            let mut victim: Option<(usize, usize)> = None;
+            for (k, core) in self.cores.iter().enumerate() {
+                let Some(v) = core.running else { continue };
+                if desired.contains(&v) {
+                    continue;
+                }
+                if victim.is_none_or(|(_, bv)| self.sys.policy.ahead(bv, v)) {
+                    victim = Some((k, v));
+                }
+            }
+            match victim {
+                Some((k, v)) if self.sys.policy.preempts(v, u) => {
+                    self.preempt(k, v, u);
+                    self.dispatch(k, u);
+                }
+                _ => break,
+            }
+        }
+        self.desired = desired;
+    }
+
+    fn dispatch(&mut self, k: usize, rank: usize) {
         let now = self.sys.state.now;
         let task = self.sys.task_id(rank);
-        self.cpu_ever_busy = true;
-        self.idle_since = None;
-        self.sys.state.running = Some(rank);
-        self.sys.state.dispatched_at = now;
+        let core = &mut self.cores[k];
+        core.running = Some(rank);
+        core.dispatched_at = now;
+        core.ever_busy = true;
+        core.idle_noted = false;
         let ctx = self.config.overheads.dispatch;
         let job = self.sys.state.procs[rank]
             .front_mut()
@@ -751,27 +906,23 @@ impl Simulator {
         }
         let (index, remaining, started) = (job.index, job.remaining, job.started);
         job.started = true;
-        if started {
-            self.sys
-                .trace
-                .push(now, EventKind::Resumed { task, job: index });
+        let kind = if started {
+            EventKind::Resumed { task, job: index }
         } else {
-            self.sys
-                .trace
-                .push(now, EventKind::JobStart { task, job: index });
-        }
-        let seq = self.sys.next_seq();
-        self.arm_completion(now + remaining, seq);
+            EventKind::JobStart { task, job: index }
+        };
+        self.sys.trace.push(now, kind);
+        self.tag_last(k);
+        self.arm_completion(k, now + remaining);
     }
 
-    fn preempt(&mut self, rank: usize, by: usize) {
+    /// Take core `k` from `rank` for `by`; the caller dispatches `by`
+    /// there in the same breath, which re-arms the completion register.
+    fn preempt(&mut self, k: usize, rank: usize, by: usize) {
+        self.account_live(k);
         let now = self.sys.state.now;
         let task = self.sys.task_id(rank);
         let by_id = self.sys.task_id(by);
-        let elapsed = now - self.sys.state.dispatched_at;
-        if elapsed.is_positive() {
-            self.sys.state.procs[rank].account(elapsed);
-        }
         let job = self.sys.state.procs[rank]
             .front()
             .expect("preempt on empty queue")
@@ -784,17 +935,16 @@ impl Simulator {
                 by: by_id,
             },
         );
-        // The stale completion wake is overwritten by the immediately
-        // following dispatch of `by` (reschedule_cpu only preempts when
-        // it dispatches the winner in the same breath).
-        self.sys.state.running = None;
+        self.tag_last(k);
+        self.cores[k].running = None;
+        self.cores[k].completion = None;
     }
 }
 
 /// A per-run trace-capacity estimate: ~4 trace events per job
 /// (release, start, end, plus slack for preemptions/misses), capped so
 /// degenerate horizons cannot trigger an absurd preallocation.
-pub(crate) fn trace_estimate(set: &TaskSet, horizon: Instant) -> usize {
+fn trace_estimate(set: &TaskSet, horizon: Instant) -> usize {
     let span = horizon.since_epoch();
     let mut total = 16usize;
     for rank in 0..set.len() {
@@ -809,11 +959,11 @@ pub(crate) fn trace_estimate(set: &TaskSet, horizon: Instant) -> usize {
     total.min(1 << 20)
 }
 
-/// Convenience: run `set` fault-free with no supervision until `horizon`.
+/// Convenience: run `set` on one core, fault-free with no supervision,
+/// until `horizon`.
 pub fn run_plain(set: TaskSet, horizon: Instant) -> TraceLog {
     let mut sim = Simulator::new(set, SimConfig::until(horizon));
-    let mut sup = crate::supervisor::NullSupervisor;
-    sim.run(&mut sup);
+    sim.run(&mut crate::supervisor::NullSupervisor);
     sim.into_trace()
 }
 
@@ -1404,7 +1554,7 @@ mod tests {
         let mut bufs = SimBuffers::new();
         let fresh = run_plain(table2(), t(3000)).content_hash();
         for _ in 0..3 {
-            let mut sim = Simulator::new_in(table2(), SimConfig::until(t(3000)), &mut bufs);
+            let mut sim = Simulator::new_in(table2(), 1, SimConfig::until(t(3000)), &mut bufs);
             sim.run(&mut NullSupervisor);
             let log = sim.finish(&mut bufs);
             assert_eq!(

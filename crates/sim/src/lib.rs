@@ -5,8 +5,11 @@
 //! The paper's claims are about scheduling-level behaviour — who runs when,
 //! which jobs miss deadlines, where the detectors fire — and this crate
 //! reproduces exactly those orderings with a discrete-event simulation of
-//! single-CPU scheduling over an exact nanosecond virtual clock. The
-//! dispatch rule is pluggable ([`policy::SchedPolicy`]): fixed-priority
+//! scheduling over an exact nanosecond virtual clock. One engine
+//! ([`engine::Simulator`]) runs on `m ≥ 1` cores: the paper's uniprocessor
+//! is its one-core case, global placement its `m`-core case, and a
+//! partitioned platform one one-core run per core. The dispatch rule is
+//! pluggable ([`policy::SchedPolicy`]): fixed-priority
 //! preemptive (the paper's platform, and the default), EDF, or
 //! non-preemptive fixed priority — selected per run via
 //! [`engine::SimConfig::with_policy`].
@@ -46,7 +49,6 @@ pub mod component;
 pub mod engine;
 pub mod event;
 pub mod fault;
-pub mod global;
 pub mod overhead;
 pub mod policy;
 pub mod process;
@@ -54,6 +56,11 @@ pub mod sink;
 pub mod stop;
 pub mod supervisor;
 pub mod timer;
+
+/// Tests of the engine's global dispatch on `m > 1` cores.
+#[cfg(test)]
+#[path = "global_tests.rs"]
+mod global;
 
 /// One-stop imports.
 pub mod prelude {
@@ -63,7 +70,6 @@ pub mod prelude {
     pub use crate::engine::{run_plain, SimBuffers, SimConfig, SimState, Simulator, System};
     pub use crate::event::{Wake, WakeClass, WakeQueue};
     pub use crate::fault::{FaultPlan, RandomFaults};
-    pub use crate::global::{run_plain_global, GlobalSimulator};
     pub use crate::overhead::Overheads;
     pub use crate::policy::{PolicyKind, SchedPolicy};
     pub use crate::process::JobOutcome;

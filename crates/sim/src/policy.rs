@@ -78,8 +78,8 @@ impl PolicyImpl {
     }
 
     /// The best `k` ready ranks in dispatch order (best first) — the
-    /// global engine's top-`m` selection. At `k = 1` this is `pick`.
-    /// Ranks are priority-sorted, so for the fixed-priority rules the
+    /// engine's top-`m` placement on `m > 1` cores. At `k = 1` this is
+    /// `pick`. Ranks are priority-sorted, so for the fixed-priority rules the
     /// ready mask's ascending scan *is* dispatch order (priority
     /// descending, ties by task id); EDF walks its deadline-ordered set.
     pub(crate) fn top(&self, k: usize, out: &mut Vec<usize>) {

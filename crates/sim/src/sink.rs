@@ -1,4 +1,4 @@
-//! Streaming trace sink — the live-observation seam of the engines.
+//! Streaming trace sink — the live-observation seam of the engine.
 //!
 //! The paper's instrumentation buffers timestamps in memory and flushes
 //! at the end of the run; [`rtft_trace::TraceLog`] keeps that
@@ -6,18 +6,18 @@
 //! an *additional* observer fed a copy of every event as soon as the
 //! engine records it, so a live consumer (the `rtft serve` streaming
 //! route, a progress display, a tee to disk) can watch a run without
-//! waiting for it to finish — and without perturbing it: the engines
-//! drain the freshly appended suffix of the log to the sink after each
+//! waiting for it to finish — and without perturbing it: the engine
+//! drains the freshly appended suffix of the log to the sink after each
 //! wake is processed, so the recorded trace is byte-for-byte identical
 //! with and without a sink attached.
 //!
-//! Core attribution matches the engines' own: the uniprocessor
-//! [`crate::engine::Simulator`] reports `core: None`; the global
-//! [`crate::global::GlobalSimulator`] reports the executing core for
-//! execution events and `None` for platform-level ones (releases,
-//! deadline checks, supervisor markers, `SimEnd`); a partitioned driver
-//! wraps the shared sink in a [`CoreTag`] per core engine so every
-//! event arrives tagged with its core.
+//! Core attribution matches the engine's own
+//! ([`crate::engine::Simulator::core_of`]): a one-core run reports
+//! `core: None` for every event; an `m`-core run reports the executing
+//! core for execution events and `None` for platform-level ones
+//! (releases, deadline checks, supervisor markers, `SimEnd`). A
+//! partitioned driver wraps the shared sink in a [`CoreTag`] per
+//! one-core engine so every event arrives tagged with its core.
 
 use rtft_core::time::Instant;
 use rtft_trace::EventKind;
@@ -25,9 +25,8 @@ use rtft_trace::EventKind;
 /// A per-event observer of a running simulation.
 pub trait TraceSink {
     /// Called once per recorded event, in trace order. `core` is the
-    /// executing core when the engine knows it (`None` on the
-    /// uniprocessor engine and for platform-level events under global
-    /// dispatch).
+    /// executing core when the engine attributes one (`None` on one
+    /// core and for platform-level events on `m` cores).
     fn record(&mut self, core: Option<usize>, at: Instant, kind: EventKind);
 }
 
@@ -40,7 +39,7 @@ impl<F: FnMut(Option<usize>, Instant, EventKind)> TraceSink for F {
 
 /// Adapter tagging every event with a fixed core before forwarding —
 /// how a partitioned multicore driver shares one sink across its
-/// independent per-core engines (which themselves report `None`).
+/// independent one-core engines (which themselves report `None`).
 pub struct CoreTag<'a> {
     core: usize,
     inner: &'a mut dyn TraceSink,

@@ -1,5 +1,5 @@
 //! The streaming-sink seam: a sink must observe exactly the recorded
-//! trace, in order, with the engines' own core attribution — and its
+//! trace, in order, with the engine's own core attribution — and its
 //! presence must not perturb the run.
 
 use rtft_core::task::{TaskBuilder, TaskId, TaskSet};
@@ -58,7 +58,12 @@ fn global_sink_reports_the_engine_core_tags() {
     let mut sink = |core: Option<usize>, at: Instant, kind: EventKind| {
         seen.push((core, TraceEvent::new(at, kind)));
     };
-    let mut sim = GlobalSimulator::new(table2(), 2, SimConfig::until(t(2000)));
+    let mut sim = Simulator::new_in(
+        table2(),
+        2,
+        SimConfig::until(t(2000)),
+        &mut SimBuffers::new(),
+    );
     sim.run_streamed(&mut NullSupervisor, &mut sink);
 
     assert_eq!(seen.len(), sim.trace().len());
@@ -79,7 +84,12 @@ fn global_sink_reports_the_engine_core_tags() {
     );
 
     // The core-tagged logs are unchanged by observation.
-    let mut plain = GlobalSimulator::new(table2(), 2, SimConfig::until(t(2000)));
+    let mut plain = Simulator::new_in(
+        table2(),
+        2,
+        SimConfig::until(t(2000)),
+        &mut SimBuffers::new(),
+    );
     plain.run(&mut NullSupervisor);
     assert_eq!(plain.core_logs(), sim.core_logs());
 }

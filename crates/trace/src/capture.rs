@@ -38,6 +38,7 @@ use crate::event::{EventKind, TraceEvent};
 use crate::format::{self, ParseError};
 use crate::log::TraceLog;
 use crate::merge::{merge_core_traces, merged_content_hash, CoreEvent};
+use rtft_core::query::parse_cores;
 use rtft_core::task::TaskId;
 use rtft_core::time::{Duration, Instant};
 use std::fmt::Write as _;
@@ -349,13 +350,7 @@ impl TraceCapture {
                         "policy" => policy = Some(value.to_string()),
                         "placement" => placement = Some(value.to_string()),
                         "treatment" => treatment = Some(value.to_string()),
-                        "cores" => {
-                            cores = Some(
-                                value
-                                    .parse()
-                                    .map_err(|e| fail(format!("bad cores count: {e}")))?,
-                            );
-                        }
+                        "cores" => cores = Some(parse_cores(value).map_err(fail)?),
                         _ => {} // "rtft trace v2", "rtft trace v1", free comments
                     }
                 }
@@ -550,9 +545,8 @@ impl TraceCapture {
                 };
                 let cores = field("cores")?
                     .as_i64()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| fail("header `cores` must be a positive number".to_string()))?
-                    as usize;
+                    .ok_or_else(|| fail("header `cores` must be a number".to_string()))?;
+                let cores = parse_cores(&cores.to_string()).map_err(fail)?;
                 Some(TraceHeader {
                     spec_hash: hex("spec_hash")?,
                     policy: string("policy")?,

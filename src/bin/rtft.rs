@@ -214,15 +214,16 @@ fn load_system(path: &str) -> Result<(TaskSet, FaultPlan), String> {
     Ok((set, desc.faults))
 }
 
+/// Parse `--cores` when given.
+fn cores_flag(args: &[String]) -> Result<Option<usize>, String> {
+    flag_value(args, "--cores")
+        .map(|c| rtft::core::query::parse_cores(c).map_err(|e| format!("--cores: {e}")))
+        .transpose()
+}
+
 /// Parse the shared `--cores` / `--alloc` pair (1 core, ffd by default).
 fn cores_and_alloc(args: &[String]) -> Result<(usize, rtft::part::AllocPolicy), String> {
-    let cores: usize = flag_value(args, "--cores")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|e| format!("bad --cores: {e}"))?;
-    if cores == 0 {
-        return Err("--cores must be at least 1".into());
-    }
+    let cores = cores_flag(args)?.unwrap_or(1);
     let alloc: rtft::part::AllocPolicy = flag_value(args, "--alloc").unwrap_or("ffd").parse()?;
     Ok((cores, alloc))
 }
@@ -1053,16 +1054,7 @@ fn job_for_spec(
             .or_else(|| header.map(|h| h.treatment.as_str()))
             .unwrap_or("system"),
     )?;
-    let cores: usize = match flag_value(args, "--cores") {
-        Some(c) => {
-            let c = c.parse().map_err(|e| format!("bad --cores: {e}"))?;
-            if c == 0 {
-                return Err("--cores must be at least 1".into());
-            }
-            c
-        }
-        None => header.map_or(1, |h| h.cores),
-    };
+    let cores = cores_flag(args)?.unwrap_or_else(|| header.map_or(1, |h| h.cores));
     let alloc: rtft::part::AllocPolicy = flag_value(args, "--alloc").unwrap_or("ffd").parse()?;
     let placement: rtft_core::query::Placement = flag_value(args, "--placement")
         .or_else(|| header.map(|h| h.placement.as_str()))

@@ -11,7 +11,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`core`] | task model, feasibility analysis (paper Fig. 2 algorithm), allowance computation, blocking/sensitivity/server extensions |
-//! | [`sim`] | deterministic discrete-event simulator of a single-CPU FPPS system with jRate timer quantization and polled-stop models |
+//! | [`sim`] | deterministic discrete-event simulator on `m ≥ 1` cores (the paper's uniprocessor FPPS platform is the one-core case) with jRate timer quantization and polled-stop models |
 //! | [`ft`] | detectors, the five paper treatments, scenario harness, dynamic-admission and under-run extensions |
 //! | [`part`] | partitioned multiprocessor scheduling: bin-packing allocators with per-core feasibility probes, per-core analysis sessions, multicore partitioned execution |
 //! | [`rtsj`] | RTSJ-shaped API (`RealtimeThreadExtended`, `PriorityScheduler`, timers, scoped-memory model) |

@@ -1006,3 +1006,71 @@ fn run_errors_match_the_pinned_golden() {
         &format!("{infeasible}=== --cores 2\n{unplaceable}"),
     );
 }
+
+#[test]
+fn oversized_core_counts_are_rejected_input_not_an_abort() {
+    // A core count beyond the engine's core-tag range must be refused
+    // by the one core-count parser everywhere a count is read, never
+    // reach an allocator or the engine.
+    let dir = temp_dir("cores-cap");
+    let paper = write_paper_file(&dir);
+    for placement in ["partitioned", "global"] {
+        let out = rtft()
+            .args(["run", paper.to_str().unwrap(), "--cores", "99999999999"])
+            .args(["--placement", placement])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{placement}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains("bad core count"), "{stderr}");
+    }
+
+    let batch = dir.join("big.query");
+    std::fs::write(
+        &batch,
+        "task tau1 20 200ms 70ms 29ms\ncores 99999999999\nquery feasibility\n",
+    )
+    .unwrap();
+    let out = rtft()
+        .args(["query", batch.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(4));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("RT000"), "{stderr}");
+    assert!(stderr.contains("line:2"), "{stderr}");
+
+    // A capture whose header claims an oversized platform does not parse.
+    let trace = dir.join("run.trace");
+    let out = rtft()
+        .args(["trace", "export", paper.to_str().unwrap()])
+        .args(["--treatment", "detect", "--jrate", "-o"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&trace).unwrap();
+    assert!(text.contains("# cores 1\n"));
+    std::fs::write(&trace, text.replace("# cores 1\n", "# cores 99999999999\n")).unwrap();
+    let out = rtft()
+        .args(["replay", trace.to_str().unwrap()])
+        .args(["--spec", paper.to_str().unwrap()])
+        .args(["--treatment", "detect", "--jrate", "--force"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("bad core count"), "{stderr}");
+
+    // The largest accepted count still answers.
+    let out = rtft()
+        .args(["run", paper.to_str().unwrap(), "--cores", "65535"])
+        .args(["--placement", "global", "--horizon", "1300ms"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
