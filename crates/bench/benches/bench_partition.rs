@@ -50,10 +50,9 @@ fn bench_partition(c: &mut Criterion) {
                         black_box(partition).clone(),
                         PolicyKind::FixedPriority,
                     );
-                    let occupied: Vec<usize> = sessions.partition().occupied_cores().collect();
-                    occupied
-                        .into_iter()
-                        .map(|core| sessions.policy_thresholds(core).expect("feasible").len())
+                    sessions
+                        .sessions_mut()
+                        .map(|(_, session)| session.policy_thresholds().expect("feasible").len())
                         .sum::<usize>()
                 })
             },

@@ -1,10 +1,12 @@
 //! Query-plane benchmarks: what `Workbench::run_batch` buys over
 //! issuing the same queries one-shot on cold sessions.
 //!
-//! * `query_allowances/{batched,one_shot}/{uni,4core}` — the ISSUE's
+//! * `query_allowances/{batched,one_shot}/{uni,4core,global}` — the
 //!   headline workload: the allowance-heavy batch (thresholds,
-//!   equitable, system allowance, three per-task overruns) on a 50-task
-//!   UUniFast set, uniprocessor and partitioned over 4 cores. The
+//!   equitable, system allowance, every task's overrun) on a 50-task
+//!   UUniFast set, uniprocessor, partitioned over 4 cores, and
+//!   globally scheduled on 4 cores (a lighter set the sufficient
+//!   global test proves, so every search runs). The
 //!   one-shot path builds a fresh `Workbench` per query, exactly what a
 //!   naive service endpoint would do; the batched path shares one
 //!   workbench, whose run ordering feeds every search the memoized
@@ -19,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rtft_core::allowance::SlackPolicy;
-use rtft_core::query::{AllocPolicy, Query, SystemSpec};
+use rtft_core::query::{AllocPolicy, Placement, Query, Response, SystemSpec};
 use rtft_core::task::{TaskId, TaskSet};
 use rtft_part::workbench::Workbench;
 use rtft_taskgen::GeneratorConfig;
@@ -45,9 +47,23 @@ fn allowance_batch(set: &TaskSet) -> Vec<Query> {
 }
 
 fn specs() -> Vec<(&'static str, SystemSpec)> {
-    // 50 tasks at U = 0.72 on one core; 50 tasks at U = 2.2 over four.
+    // 50 tasks at U = 0.72 on one core; 50 tasks at U = 2.2 over four;
+    // 50 tasks at U = GLOBAL_U migrating over four.
     let uni_set = GeneratorConfig::new(50).with_utilization(0.72).generate(21);
     let multi_set = GeneratorConfig::multicore(50, 4).generate(21);
+    let global_set = GeneratorConfig::new(50)
+        .with_utilization(GLOBAL_U)
+        .generate(21);
+    let global = SystemSpec::uniprocessor("bench-global", global_set)
+        .with_cores(4, AllocPolicy::WorstFitDecreasing)
+        .with_placement(Placement::Global);
+    assert!(
+        matches!(
+            Workbench::new(global.clone()).run(&Query::Feasibility),
+            Ok(Response::Feasibility { feasible: true, .. })
+        ),
+        "the global bench set must be proven, or its searches never run"
+    );
     vec![
         ("uni", SystemSpec::uniprocessor("bench-uni", uni_set)),
         (
@@ -55,8 +71,12 @@ fn specs() -> Vec<(&'static str, SystemSpec)> {
             SystemSpec::uniprocessor("bench-4core", multi_set)
                 .with_cores(4, AllocPolicy::WorstFitDecreasing),
         ),
+        ("global", global),
     ]
 }
+
+/// Total utilization of the global bench set.
+const GLOBAL_U: f64 = 1.2;
 
 fn bench_allowance_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("query_allowances");

@@ -216,23 +216,23 @@ fn run_checked(
     digest.trace_hash = run.trace_hash();
     digest.failed_tasks = run.failed_tasks();
     digest.collateral = run.collateral_failures();
+    // A core's slice is checked and tallied as a standalone 1-core job,
+    // so a violation minimizes to a single-core repro spec.
+    let jobs: Vec<Cow<'_, JobSpec>> = match bench.partition() {
+        Some(partition) => partition
+            .occupied_cores()
+            .map(|core| Cow::Owned(core_job(job, partition, core)))
+            .collect(),
+        None => vec![Cow::Borrowed(job)],
+    };
     let mut verdicts = Vec::new();
-    for (core, outcome) in run.parts() {
-        // A core's slice is checked and tallied as a standalone 1-core
-        // job, so a violation minimizes to a single-core repro spec.
-        let part = match core {
-            Some(core) => Cow::Owned(core_job(
-                job,
-                bench.partition().expect("a core part runs on a partition"),
-                core,
-            )),
-            None => Cow::Borrowed(job),
-        };
+    // The run's parts, the jobs and the workbench's parts share one order.
+    for ((outcome, part), (_, session)) in run.parts().into_iter().zip(&jobs).zip(bench.parts_mut())
+    {
         if oracle {
-            let session = bench.recipe_mut(core).expect("the part's own session");
-            verdicts.push(oracle::check_part(&part, outcome, session));
+            verdicts.push(oracle::check_part(part, outcome, session));
         }
-        tally(&mut digest, &part, outcome);
+        tally(&mut digest, part, outcome);
     }
     digest.oracle = merge_oracle(verdicts);
     Ok((run, digest))

@@ -93,7 +93,7 @@ pub fn wcrt_with_jitter(
 /// effective costs and blocking), so the arithmetic exists once.
 pub(crate) mod engine {
     use super::{AnalysisError, Duration, TaskSet};
-    use crate::response::engine::level_utilization;
+    use crate::response::engine::diverges;
 
     /// Least fixed point of
     /// `w = C_i + B_i + Σ_{j ∈ hp} ⌈(w + J_j)/T_j⌉·C_j`, returned as
@@ -108,7 +108,7 @@ pub(crate) mod engine {
         limit: u64,
     ) -> Result<Duration, AnalysisError> {
         let task = set.by_rank(rank);
-        if level_utilization(set, costs, hp, rank) > 1.0 {
+        if diverges(set, costs, blocking_i, hp, rank) {
             return Err(AnalysisError::Divergent { task: task.id });
         }
         let mut budget = limit;

@@ -84,6 +84,48 @@ pub(crate) mod engine {
         own + interference
     }
 
+    /// Does the level-`rank` busy period provably never close? Above a
+    /// workload of 1 it never does; at exactly 1 it closes only without
+    /// blocking (each window then carries exactly its own demand, so a
+    /// positive `B_i` is never worked off). With blocking, a workload
+    /// near 1 is compared exactly: ten tasks of `U = 0.1` sum to
+    /// `0.9999999999999999` in `f64` but saturate the level all the same.
+    pub(crate) fn diverges(
+        set: &TaskSet,
+        costs: &[Duration],
+        blocking_i: Duration,
+        hp: &[usize],
+        rank: usize,
+    ) -> bool {
+        let load = level_utilization(set, costs, hp, rank);
+        if load > 1.0 || !blocking_i.is_positive() || load < 1.0 - 1e-9 {
+            return load > 1.0;
+        }
+        // Σ C_j/T_j as the fraction num/den over little-endian base-2^64
+        // limbs (equal lengths, so limb order compares them).
+        fn mul_add(a: &[u64], m: u64, b: &[u64], k: u64) -> Vec<u64> {
+            let mut carry = 0u128;
+            let mut out: Vec<u64> = (0..a.len())
+                .map(|i| {
+                    let v = a[i] as u128 * m as u128 + b[i] as u128 * k as u128 + carry;
+                    carry = v >> 64;
+                    v as u64
+                })
+                .collect();
+            out.push(carry as u64);
+            out
+        }
+        let (mut num, mut den) = (vec![0u64], vec![1u64]);
+        for &j in hp.iter().chain([&rank]) {
+            let (c, t) = (
+                costs[j].as_nanos() as u64,
+                set.by_rank(j).period.as_nanos() as u64,
+            );
+            (num, den) = (mul_add(&num, t, &den, c), mul_add(&den, t, &den, 0));
+        }
+        num.iter().rev().ge(den.iter().rev())
+    }
+
     /// Least fixed point of `W_q` for job `q` of `rank`, iterating from
     /// `seed` (any value at or below the fixed point is a valid start —
     /// `W_q` is monotone). When `abort_above` is set and an iterate
@@ -167,7 +209,7 @@ pub(crate) mod engine {
         limit: u64,
     ) -> Result<TaskResponse, AnalysisError> {
         let task = set.by_rank(rank);
-        if level_utilization(set, costs, hp, rank) > 1.0 {
+        if diverges(set, costs, blocking_i, hp, rank) {
             return Err(AnalysisError::Divergent { task: task.id });
         }
         let mut budget = limit;
@@ -234,7 +276,7 @@ pub(crate) mod engine {
         limit: u64,
     ) -> Result<Duration, AnalysisError> {
         let task = set.by_rank(rank);
-        if level_utilization(set, costs, hp, rank) > 1.0 {
+        if diverges(set, costs, blocking_i, hp, rank) {
             return Err(AnalysisError::Divergent { task: task.id });
         }
         let mut ranks = hp.to_vec();

@@ -1,16 +1,23 @@
-//! The certification recipe: what a run of a job arms, and what it
-//! certifies at Δmax (the largest injected overrun).
+//! The per-part analysis recipe: what a run of a job arms, what it
+//! certifies at Δmax (the largest injected overrun), and the per-rank
+//! rows the query plane renders.
 //!
-//! The one run body ([`crate::harness::run_on_cores`], before a run),
-//! the campaign oracle and trace replay (after it) all ask one
-//! [`Recipe`] session, so their answers cannot drift apart:
-//! [`Recipe::baseline`] gates admission and yields the per-rank
-//! baseline, [`Recipe::detection`] maps a treatment to detector
-//! thresholds, [`Recipe::system_allowance`] yields the maxima a live
-//! run's allowance manager grants, and [`Recipe::certify`] yields the
-//! response bound every completed job must respect when `Δmax` stays
-//! within the equitable allowance `A` — or the [`OracleSkip`] reason
-//! none applies.
+//! A placement is a list of parts, each answered by one [`Recipe`]
+//! session: the whole set on a uniprocessor or global platform, one
+//! core's subset under partitioning. The one run body
+//! ([`crate::harness::run_on_cores`], before a run), the campaign oracle
+//! and trace replay (after it) ask the same session, so their answers
+//! cannot drift apart: [`Recipe::baseline`] gates admission and yields
+//! the per-rank baseline, [`Recipe::detection`] maps a treatment to
+//! detector thresholds, [`Recipe::system_allowance`] yields the maxima a
+//! live run's allowance manager grants, and [`Recipe::certify`] yields
+//! the response bound every completed job must respect when `Δmax`
+//! stays within the equitable allowance `A` — or the [`OracleSkip`]
+//! reason none applies. The query plane's `Workbench` answers every
+//! query kind from the same parts: [`Recipe::overloaded`] and
+//! [`Recipe::admits`] for feasibility, the `*_rows` methods for per-task
+//! answers, [`Recipe::equitable`], [`Recipe::protect_all_overrun`] and
+//! [`Recipe::scaling_margin`] for the searches.
 //!
 //! Implemented here for the exact uniprocessor [`Analyzer`] and in
 //! `rtft_global` for the sufficient-only `GlobalAnalyzer`.
@@ -47,8 +54,8 @@ impl std::fmt::Display for OracleSkip {
     }
 }
 
-/// One analysis session's answers to the certification recipe. See the
-/// [module docs](self).
+/// One part's analysis session: its certification recipe and its
+/// per-rank query rows. See the [module docs](self).
 pub trait Recipe {
     /// The task set the session analyses.
     fn task_set(&self) -> &TaskSet;
@@ -71,10 +78,44 @@ pub trait Recipe {
     /// session's costs are left as they were.
     fn inflated(&mut self, dmax: Duration) -> Result<Vec<Duration>, AnalysisError>;
 
+    /// Is the set statically overloaded (a necessary condition already
+    /// fails, so no analysis can admit it)?
+    fn overloaded(&mut self) -> bool;
+
+    /// The admission test: does the session's feasibility test accept
+    /// the set?
+    fn admits(&mut self) -> Result<bool, AnalysisError>;
+
+    /// Per-rank WCRTs (`None` where no per-task bound exists or the
+    /// level diverges).
+    fn wcrt_rows(&mut self) -> Result<Vec<Option<Duration>>, AnalysisError>;
+
+    /// Per-rank detection thresholds (`None` where the level diverges).
+    fn threshold_rows(&mut self) -> Result<Vec<Option<Duration>>, AnalysisError>;
+
+    /// Per-rank system-allowance maxima `M_i` under `policy` (all `None`
+    /// when the set admits none).
+    fn system_allowance_rows(
+        &mut self,
+        policy: SlackPolicy,
+    ) -> Result<Vec<Option<Duration>>, AnalysisError>;
+
+    /// The largest overrun of the task at `rank` alone that keeps every
+    /// deadline (protect-all); `None` when the set admits none.
+    fn protect_all_overrun(&mut self, rank: usize) -> Result<Option<Duration>, AnalysisError>;
+
+    /// The critical cost-scaling factor (`None` for an unadmitted set).
+    fn scaling_margin(&mut self) -> Result<Option<f64>, AnalysisError>;
+
     /// The per-rank system-allowance maxima `M_i` the allowance manager
     /// grants under `policy` ([`HarnessError::InfeasibleBase`] when the
     /// set admits none).
-    fn system_allowance(&mut self, policy: SlackPolicy) -> Result<Vec<Duration>, HarnessError>;
+    fn system_allowance(&mut self, policy: SlackPolicy) -> Result<Vec<Duration>, HarnessError> {
+        self.system_allowance_rows(policy)?
+            .into_iter()
+            .collect::<Option<Vec<Duration>>>()
+            .ok_or(HarnessError::InfeasibleBase)
+    }
 
     /// The detector thresholds `treatment` arms over `baseline` (empty
     /// under [`Treatment::NoDetection`]) and the equitable allowance
@@ -169,11 +210,55 @@ impl Recipe for Analyzer {
         inflated
     }
 
+    /// `U > 1` on the session's set.
+    fn overloaded(&mut self) -> bool {
+        self.task_set().utilization() > 1.0
+    }
+
+    /// Exact WCRT test for FP, WCRT-with-blocking for non-preemptive FP,
+    /// processor-demand test for EDF.
+    fn admits(&mut self) -> Result<bool, AnalysisError> {
+        self.is_feasible()
+    }
+
+    /// The exact WCRTs; EDF yields no per-task bound.
+    fn wcrt_rows(&mut self) -> Result<Vec<Option<Duration>>, AnalysisError> {
+        if self.sched_policy() == PolicyKind::Edf {
+            return Ok(vec![None; self.len()]);
+        }
+        (0..self.len())
+            .map(|rank| match self.wcrt(rank) {
+                Ok(w) => Ok(Some(w)),
+                Err(AnalysisError::Divergent { .. }) => Ok(None),
+                Err(e) => Err(e),
+            })
+            .collect()
+    }
+
+    /// The WCRTs, or the relative deadlines under EDF.
+    fn threshold_rows(&mut self) -> Result<Vec<Option<Duration>>, AnalysisError> {
+        if self.sched_policy() != PolicyKind::Edf {
+            return self.wcrt_rows();
+        }
+        Ok(self.policy_thresholds()?.into_iter().map(Some).collect())
+    }
+
     /// The exact uniprocessor search under `policy`.
-    fn system_allowance(&mut self, policy: SlackPolicy) -> Result<Vec<Duration>, HarnessError> {
-        Ok(self
-            .system_allowance_with(policy)?
-            .ok_or(HarnessError::InfeasibleBase)?
-            .max_overrun)
+    fn system_allowance_rows(
+        &mut self,
+        policy: SlackPolicy,
+    ) -> Result<Vec<Option<Duration>>, AnalysisError> {
+        let sa = self.system_allowance_with(policy)?;
+        Ok((0..self.len())
+            .map(|rank| sa.as_ref().map(|sa| sa.max_overrun[rank]))
+            .collect())
+    }
+
+    fn protect_all_overrun(&mut self, rank: usize) -> Result<Option<Duration>, AnalysisError> {
+        self.max_single_overrun_with(rank, SlackPolicy::ProtectAll)
+    }
+
+    fn scaling_margin(&mut self) -> Result<Option<f64>, AnalysisError> {
+        self.cost_scaling_margin()
     }
 }

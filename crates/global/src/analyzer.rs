@@ -1,8 +1,8 @@
 //! The memoized global-analysis session: one [`GlobalAnalyzer`] per
-//! `(set, cores, policy)`, mirroring the session shape of
-//! `rtft_core::analyzer::Analyzer` and `rtft_part`'s
-//! `PartitionedAnalyzer` so the query-plane `Workbench` can dispatch a
-//! global-placement spec the same way it dispatches the others.
+//! `(set, cores, policy)`. It is the one part of a global placement: the
+//! query-plane `Workbench`, the runners, the campaign oracle and replay
+//! all ask it through the [`Recipe`] trait, exactly as they ask the
+//! uniprocessor session of each other placement's parts.
 //!
 //! The verdict, response bounds and every allowance search are computed
 //! once and cached; the searches are binary searches over the
@@ -76,11 +76,6 @@ impl GlobalAnalyzer {
         self.cores
     }
 
-    /// The scheduling policy.
-    pub fn sched_policy(&self) -> PolicyKind {
-        self.policy
-    }
-
     /// The memoized feasibility verdict.
     pub fn verdict(&mut self) -> GlobalVerdict {
         if let Some(v) = self.verdict {
@@ -117,16 +112,6 @@ impl GlobalAnalyzer {
             self.wcrt = Some(rows);
         }
         self.wcrt.as_deref().expect("just filled")
-    }
-
-    /// Per-rank detection thresholds: deadline-miss detection is the
-    /// one sound threshold a sufficient-only analysis offers, so every
-    /// policy answers the relative deadlines (exactly the EDF
-    /// convention of the uniprocessor session).
-    pub fn thresholds(&self) -> Vec<Duration> {
-        (0..self.set.len())
-            .map(|rank| self.set.by_rank(rank).deadline)
-            .collect()
     }
 
     /// Does the sufficient test still accept with every cost inflated
@@ -302,15 +287,48 @@ impl Recipe for GlobalAnalyzer {
         Ok(self.stop_thresholds_at(dmax))
     }
 
+    /// The necessary envelope fails (`U > m` or a density above 1).
+    fn overloaded(&mut self) -> bool {
+        self.verdict().overloaded
+    }
+
+    /// The sufficient test: `false` means "unproven".
+    fn admits(&mut self) -> Result<bool, AnalysisError> {
+        Ok(self.is_feasible())
+    }
+
+    fn wcrt_rows(&mut self) -> Result<Vec<Option<Duration>>, AnalysisError> {
+        Ok(self.wcrt_bounds().to_vec())
+    }
+
+    /// The stop bounds at the declared costs.
+    fn threshold_rows(&mut self) -> Result<Vec<Option<Duration>>, AnalysisError> {
+        Ok(self
+            .stop_thresholds_at(Duration::ZERO)
+            .into_iter()
+            .map(Some)
+            .collect())
+    }
+
     /// Per-rank [`GlobalAnalyzer::max_single_overrun`]. `SlackPolicy` is
     /// intentionally ignored: the global interference bound charges an
     /// overrun against all lower-priority work system-wide, so
     /// protect-all is the only sound grant policy.
-    fn system_allowance(&mut self, _policy: SlackPolicy) -> Result<Vec<Duration>, HarnessError> {
-        (0..self.set.len())
+    fn system_allowance_rows(
+        &mut self,
+        _policy: SlackPolicy,
+    ) -> Result<Vec<Option<Duration>>, AnalysisError> {
+        Ok((0..self.set.len())
             .map(|rank| self.max_single_overrun(rank))
-            .collect::<Option<Vec<Duration>>>()
-            .ok_or(HarnessError::InfeasibleBase)
+            .collect())
+    }
+
+    fn protect_all_overrun(&mut self, rank: usize) -> Result<Option<Duration>, AnalysisError> {
+        Ok(self.max_single_overrun(rank))
+    }
+
+    fn scaling_margin(&mut self) -> Result<Option<f64>, AnalysisError> {
+        Ok(self.cost_scaling_margin())
     }
 }
 
@@ -401,11 +419,9 @@ mod tests {
         let mut ga = GlobalAnalyzer::new(twin_paper_set(), 2, PolicyKind::Edf);
         assert!(ga.is_feasible(), "density test accepts the light twins");
         assert!(ga.wcrt_bounds().iter().all(Option::is_none));
-        assert_eq!(
-            ga.thresholds(),
-            vec![ms(70), ms(120), ms(120), ms(70), ms(120), ms(120)]
-        );
-        assert_eq!(ga.stop_thresholds_at(ms(5)), ga.thresholds());
+        let deadlines = vec![ms(70), ms(120), ms(120), ms(70), ms(120), ms(120)];
+        assert_eq!(ga.stop_thresholds_at(Duration::ZERO), deadlines);
+        assert_eq!(ga.stop_thresholds_at(ms(5)), deadlines);
     }
 
     #[test]

@@ -3,26 +3,20 @@
 //! Under partitioned scheduling every analytical question factors
 //! through the cores: a task's WCRT, detector threshold or allowance
 //! depends only on the tasks sharing its core. [`PartitionedAnalyzer`]
-//! therefore owns one memoized uniprocessor
-//! [`Analyzer`] session per occupied core — the
-//! exact session the harness, detectors and differential oracle already
-//! consume — and exposes the same surface core-by-core: feasibility,
-//! WCRTs, [`policy_thresholds`](Analyzer::policy_thresholds), equitable
-//! and system allowances.
+//! therefore owns one memoized uniprocessor [`Analyzer`] session per
+//! occupied core — the exact session the harness, detectors and
+//! differential oracle already consume. It asks nothing itself: the
+//! `Workbench` hands each core's session out as one part of the
+//! placement, and every query is answered core by core from there.
 
 use crate::partition::Partition;
-use rtft_core::allowance::{EquitableAllowance, SystemAllowance};
 use rtft_core::analyzer::Analyzer;
-use rtft_core::error::AnalysisError;
 use rtft_core::policy::PolicyKind;
-use rtft_core::task::TaskId;
-use rtft_core::time::Duration;
 
 /// One memoized [`Analyzer`] session per occupied core of a partition.
 #[derive(Debug)]
 pub struct PartitionedAnalyzer {
     partition: Partition,
-    policy: PolicyKind,
     sessions: Vec<Option<Analyzer>>,
 }
 
@@ -38,7 +32,6 @@ impl PartitionedAnalyzer {
             .collect();
         PartitionedAnalyzer {
             partition,
-            policy,
             sessions,
         }
     }
@@ -48,108 +41,18 @@ impl PartitionedAnalyzer {
         &self.partition
     }
 
-    /// The scheduling policy every core runs.
-    pub fn sched_policy(&self) -> PolicyKind {
-        self.policy
-    }
-
     /// The analysis session of one core (`None` for empty cores).
     pub fn core_session_mut(&mut self, core: usize) -> Option<&mut Analyzer> {
         self.sessions.get_mut(core).and_then(Option::as_mut)
     }
 
-    /// Every occupied core's session, cores ascending — the iteration
-    /// the query plane's `Workbench` assembles per-core answers from.
+    /// Every occupied core's session, cores ascending — the parts the
+    /// `Workbench` hands out for a partitioned spec.
     pub fn sessions_mut(&mut self) -> impl Iterator<Item = (usize, &mut Analyzer)> {
         self.sessions
             .iter_mut()
             .enumerate()
             .filter_map(|(core, s)| s.as_mut().map(|s| (core, s)))
-    }
-
-    /// System-wide admission: every occupied core passes its own
-    /// policy-aware feasibility test.
-    ///
-    /// # Errors
-    /// The first core's [`AnalysisError`], if any analysis fails.
-    pub fn is_feasible(&mut self) -> Result<bool, AnalysisError> {
-        for s in self.sessions.iter_mut().flatten() {
-            if !s.is_feasible()? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
-    /// Per-rank detection thresholds of one core — WCRTs under the
-    /// fixed-priority policies, deadlines under EDF (exactly
-    /// [`Analyzer::policy_thresholds`] of the core's session).
-    ///
-    /// # Errors
-    /// The core session's [`AnalysisError`].
-    ///
-    /// # Panics
-    /// Panics on an empty core.
-    pub fn policy_thresholds(&mut self, core: usize) -> Result<Vec<Duration>, AnalysisError> {
-        self.core_session_mut(core)
-            .expect("policy_thresholds: empty core")
-            .policy_thresholds()
-    }
-
-    /// A task's WCRT under its core's local schedule — the policy-aware
-    /// threshold (blocking-inflated for non-preemptive FP); `None` for
-    /// EDF, where the demand test yields no per-task response bound.
-    ///
-    /// # Errors
-    /// The owning core session's [`AnalysisError`].
-    ///
-    /// # Panics
-    /// Panics if the task is not in the partition.
-    pub fn wcrt_of(&mut self, id: TaskId) -> Result<Option<Duration>, AnalysisError> {
-        let core = self.partition.core_of(id).expect("wcrt_of: unknown task");
-        if self.policy == PolicyKind::Edf {
-            return Ok(None);
-        }
-        let rank = self
-            .partition
-            .core_set(core)
-            .expect("occupied core")
-            .rank_of(id)
-            .expect("task on its core");
-        Ok(Some(self.policy_thresholds(core)?[rank]))
-    }
-
-    /// Equitable allowance per core (`None` entries for empty or
-    /// infeasible cores) — each core redistributes *its own* slack, so
-    /// the allowances are independent and generally differ across cores.
-    ///
-    /// # Errors
-    /// The first core's [`AnalysisError`].
-    pub fn equitable_allowances(
-        &mut self,
-    ) -> Result<Vec<Option<EquitableAllowance>>, AnalysisError> {
-        self.sessions
-            .iter_mut()
-            .map(|s| match s {
-                Some(s) => s.equitable_allowance(),
-                None => Ok(None),
-            })
-            .collect()
-    }
-
-    /// System allowance per core (`None` entries for empty or
-    /// infeasible cores), under each session's configured slack policy.
-    ///
-    /// # Errors
-    /// The first core's [`AnalysisError`].
-    pub fn system_allowances(&mut self) -> Result<Vec<Option<SystemAllowance>>, AnalysisError> {
-        self.sessions
-            .iter_mut()
-            .map(|s| match s {
-                Some(s) => s.system_allowance(),
-                None => Ok(None),
-            })
-            .collect()
     }
 }
 
@@ -157,7 +60,9 @@ impl PartitionedAnalyzer {
 mod tests {
     use super::*;
     use crate::alloc::{allocate, AllocPolicy};
-    use rtft_core::task::{TaskBuilder, TaskSet};
+    use rtft_core::task::{TaskBuilder, TaskId, TaskSet};
+    use rtft_core::time::Duration;
+    use rtft_ft::recipe::Recipe;
 
     fn ms(v: i64) -> Duration {
         Duration::millis(v)
@@ -188,6 +93,20 @@ mod tests {
         TaskSet::from_specs(specs)
     }
 
+    /// Every occupied core admits its subset.
+    fn all_feasible(pa: &mut PartitionedAnalyzer) -> bool {
+        pa.sessions_mut()
+            .all(|(_, session)| session.is_feasible().unwrap())
+    }
+
+    /// A task's WCRT row on its owning core (`None` under EDF).
+    fn wcrt_of(pa: &mut PartitionedAnalyzer, id: TaskId) -> Option<Duration> {
+        let core = pa.partition().core_of(id).expect("assigned task");
+        let session = pa.core_session_mut(core).expect("occupied core");
+        let rank = session.task_set().rank_of(id).expect("task on its core");
+        session.wcrt_rows().unwrap()[rank]
+    }
+
     #[test]
     fn per_core_analysis_reproduces_the_uniprocessor_numbers() {
         let set = twin_paper_set();
@@ -200,21 +119,18 @@ mod tests {
         )
         .unwrap();
         let mut pa = PartitionedAnalyzer::new(p, PolicyKind::FixedPriority);
-        assert!(pa.is_feasible().unwrap());
+        assert!(all_feasible(&mut pa));
         for core in 0..2 {
             assert_eq!(pa.partition().core_set(core).unwrap().len(), 3);
-            let thresholds = pa.policy_thresholds(core).unwrap();
+            let session = pa.core_session_mut(core).unwrap();
+            let thresholds = session.policy_thresholds().unwrap();
             assert_eq!(thresholds, vec![ms(29), ms(58), ms(87)], "core {core}");
-        }
-        // Each core's equitable allowance is the paper's A = 11 ms.
-        let eqs = pa.equitable_allowances().unwrap();
-        for eq in eqs {
-            assert_eq!(eq.unwrap().allowance, ms(11));
-        }
-        // System allowance per core: the paper's M = 33 ms.
-        let sas = pa.system_allowances().unwrap();
-        for sa in sas {
-            assert_eq!(sa.unwrap().max_overrun, vec![ms(33), ms(33), ms(33)]);
+            // Each core's equitable allowance is the paper's A = 11 ms.
+            let eq = session.equitable_allowance().unwrap().unwrap();
+            assert_eq!(eq.allowance, ms(11));
+            // System allowance per core: the paper's M = 33 ms.
+            let sa = session.system_allowance().unwrap().unwrap();
+            assert_eq!(sa.max_overrun, vec![ms(33), ms(33), ms(33)]);
         }
     }
 
@@ -230,8 +146,8 @@ mod tests {
         .unwrap();
         let mut pa = PartitionedAnalyzer::new(p, PolicyKind::FixedPriority);
         // Both τ1 twins are their core's highest-priority task: WCRT = C.
-        assert_eq!(pa.wcrt_of(TaskId(1)).unwrap(), Some(ms(29)));
-        assert_eq!(pa.wcrt_of(TaskId(11)).unwrap(), Some(ms(29)));
+        assert_eq!(wcrt_of(&mut pa, TaskId(1)), Some(ms(29)));
+        assert_eq!(wcrt_of(&mut pa, TaskId(11)), Some(ms(29)));
     }
 
     #[test]
@@ -239,12 +155,12 @@ mod tests {
         let set = twin_paper_set();
         let p = allocate(&set, 2, PolicyKind::Edf, AllocPolicy::WorstFitDecreasing).unwrap();
         let mut pa = PartitionedAnalyzer::new(p, PolicyKind::Edf);
-        assert!(pa.is_feasible().unwrap());
-        assert_eq!(pa.wcrt_of(TaskId(1)).unwrap(), None);
+        assert!(all_feasible(&mut pa));
+        assert_eq!(wcrt_of(&mut pa, TaskId(1)), None);
         // Thresholds fall back to deadlines per core.
-        for core in pa.partition().occupied_cores().collect::<Vec<_>>() {
-            let set = pa.partition().core_set(core).unwrap().clone();
-            let thresholds = pa.policy_thresholds(core).unwrap();
+        for (_, session) in pa.sessions_mut() {
+            let set = session.task_set().clone();
+            let thresholds = session.policy_thresholds().unwrap();
             for (rank, th) in thresholds.iter().enumerate() {
                 assert_eq!(*th, set.by_rank(rank).deadline);
             }
@@ -287,9 +203,9 @@ mod tests {
         )
         .unwrap();
         let mut pa = PartitionedAnalyzer::new(p, PolicyKind::NonPreemptiveFp);
-        assert!(pa.is_feasible().unwrap());
+        assert!(all_feasible(&mut pa));
         assert_eq!(
-            pa.wcrt_of(TaskId(1)).unwrap(),
+            wcrt_of(&mut pa, TaskId(1)),
             Some(ms(5)),
             "no local blocker left"
         );
@@ -306,8 +222,9 @@ mod tests {
         )
         .unwrap();
         let mut pa = PartitionedAnalyzer::new(p, PolicyKind::FixedPriority);
-        assert!(pa.is_feasible().unwrap());
+        assert!(all_feasible(&mut pa));
         assert!(pa.core_session_mut(1).is_none());
-        assert_eq!(pa.equitable_allowances().unwrap()[1], None);
+        let occupied: Vec<usize> = pa.sessions_mut().map(|(core, _)| core).collect();
+        assert_eq!(occupied, vec![0]);
     }
 }

@@ -19,8 +19,9 @@
 //!   oracle), producing a [`Partition`] — or rejection diagnostics
 //!   naming the first unplaceable task and the per-core loads;
 //! * [`analyzer`] — [`PartitionedAnalyzer`], one memoized uniprocessor
-//!   analysis session per occupied core, exposing feasibility, WCRTs,
-//!   `policy_thresholds()` and both allowances core-by-core;
+//!   analysis session per occupied core, each asked exactly like a
+//!   uniprocessor session — the [`Workbench`] answers the query plane,
+//!   the runners and replay from these per-core parts;
 //! * [`multicore`] — partitioned execution: one engine per core over a
 //!   shared virtual clock, merged into a deterministic core-tagged
 //!   trace ([`rtft_trace::merge`]). A 1-core partition reproduces the
@@ -50,7 +51,7 @@
 //! let partition = allocate(&set, 2, PolicyKind::FixedPriority,
 //!                          AllocPolicy::FirstFitDecreasing).unwrap();
 //! let mut sessions = PartitionedAnalyzer::new(partition, PolicyKind::FixedPriority);
-//! assert!(sessions.is_feasible().unwrap());
+//! assert!(sessions.sessions_mut().all(|(_, core)| core.is_feasible().unwrap()));
 //! ```
 
 #![forbid(unsafe_code)]

@@ -7,8 +7,10 @@
 //! subset. [`run_partitioned`] exploits that: every occupied
 //! core becomes an ordinary [`Scenario`] (the core's task set, the fault
 //! plan restricted to it, the same treatment/platform/policy) executed
-//! through the unchanged `run_scenario_with` path — detectors, allowance
-//! managers and verdicts all work per core without modification — and
+//! by [`run_scenario_streamed`], the one-core face of the one run body
+//! [`rtft_ft::harness::run_on_cores`], against the core's memoized
+//! session — detectors, allowance managers and verdicts all work per
+//! core without modification — and
 //! the per-core traces are recombined into a deterministic, core-tagged
 //! merged stream ([`rtft_trace::merge`]).
 //!

@@ -7,19 +7,25 @@
 //! its spec once, on first use — a uniprocessor [`Analyzer`] session on
 //! one core, a per-core [`PartitionedAnalyzer`] over the allocator's
 //! partition on several, a shared-queue [`GlobalAnalyzer`] under
-//! `placement global`, or the allocator's rejection — and every
-//! consumer goes through it, so callers never branch on platform:
+//! `placement global`, or the allocator's rejection. From then on the
+//! placement is plain data: [`Workbench::parts_mut`] hands out its
+//! sessions as one list of `(core, &mut dyn Recipe)` parts — one on
+//! core 0 for a uniprocessor or global spec, one per occupied core for a
+//! partitioned spec, none when unplaceable — and every consumer iterates
+//! that list, so callers never branch on platform:
 //!
 //! - **Queries.** [`Workbench::run`] and [`Workbench::run_batch`]
 //!   answer the query plane for `rtft query`, `rtft analyze`,
-//!   `rtft serve` and the benches.
+//!   `rtft serve` and the benches, with one body per query kind over
+//!   the parts.
 //! - **Runs.** [`Workbench::simulate`] runs a scenario on the runner
 //!   that matches the backend and returns one [`PlacedRun`], which
 //!   knows its trace hash, its trace capture, its per-core parts and
-//!   how to hand its logs back to [`SimBuffers`];
-//!   [`Workbench::recipe_mut`] gives the differential oracle the
-//!   session behind each part. Campaign digests, lone runs
-//!   (`rtft run`), trace captures and `POST /trace` all run jobs here.
+//!   how to hand its logs back to [`SimBuffers`]; its parts come in
+//!   the order of [`Workbench::parts_mut`], so the differential oracle
+//!   zips the two. Campaign digests, lone runs (`rtft run`), trace
+//!   captures and `POST /trace` all run jobs here, and replay resolves
+//!   a capture's bounds from the same parts.
 //!
 //! [`Workbench::run_batch`] additionally *orders* the queries of a
 //! batch to maximize warm-start reuse inside the existing fixed-point
@@ -64,10 +70,9 @@ use crate::alloc::allocate;
 use crate::analyzer::PartitionedAnalyzer;
 use crate::multicore::{run_partitioned_streamed, MulticoreOutcome};
 use crate::partition::Partition;
-use rtft_core::analyzer::{Analyzer, AnalyzerBuilder};
+use rtft_core::analyzer::Analyzer;
 use rtft_core::diag::{self, Diagnostic};
 use rtft_core::error::AnalysisError;
-use rtft_core::policy::PolicyKind;
 use rtft_core::query::{
     CoreAllowance, CoreScale, Placement, Query, Response, SystemSpec, TaskValue,
 };
@@ -147,19 +152,16 @@ impl PlacedRun {
         }
     }
 
-    /// The outcomes an oracle checks and a digest tallies, each with
-    /// the core it ran on: one part without a core for a uniprocessor
-    /// or global run, one per occupied core (ascending) for a
-    /// partitioned run.
-    pub fn parts(&self) -> Vec<(Option<usize>, &ScenarioOutcome)> {
+    /// The outcomes an oracle checks and a digest tallies, one per part
+    /// of [`Workbench::parts_mut`] and in its order: one for a
+    /// uniprocessor or global run, one per occupied core (ascending) for
+    /// a partitioned run.
+    pub fn parts(&self) -> Vec<&ScenarioOutcome> {
         match self {
-            PlacedRun::Uni(outcome) => vec![(None, outcome)],
-            PlacedRun::Partitioned(multi) => multi
-                .cores
-                .iter()
-                .map(|c| (Some(c.core), &c.outcome))
-                .collect(),
-            PlacedRun::Global(global) => vec![(None, &global.outcome)],
+            PlacedRun::Uni(outcome) | PlacedRun::Global(GlobalOutcome { outcome, .. }) => {
+                vec![outcome]
+            }
+            PlacedRun::Partitioned(multi) => multi.cores.iter().map(|c| &c.outcome).collect(),
         }
     }
 
@@ -269,11 +271,10 @@ impl Workbench {
     fn ensure(&mut self) -> &mut Backend {
         self.backend.get_or_insert_with(|| {
             if self.spec.cores <= 1 {
-                return Backend::Uni(Box::new(
-                    AnalyzerBuilder::new(&self.spec.set)
-                        .sched_policy(self.spec.policy)
-                        .build(),
-                ));
+                return Backend::Uni(Box::new(Analyzer::for_policy(
+                    &self.spec.set,
+                    self.spec.policy,
+                )));
             }
             if self.spec.placement == Placement::Global {
                 return Backend::Global(Box::new(GlobalAnalyzer::new(
@@ -372,26 +373,29 @@ impl Workbench {
         })
     }
 
-    /// The analysis session behind one part of a [`PlacedRun`] (see
-    /// [`PlacedRun::parts`]), as the certification [`Recipe`] the
-    /// oracle asks: the whole-set session for a part without a core,
-    /// the core's session for a partitioned part. `None` when no such
-    /// part exists on this placement.
-    pub fn recipe_mut(&mut self, core: Option<usize>) -> Option<&mut dyn Recipe> {
-        match (self.ensure(), core) {
-            (Backend::Uni(session), None) => Some(&mut **session),
-            (Backend::Global(session), None) => Some(&mut **session),
-            (Backend::Multi(pa), Some(core)) => {
-                pa.core_session_mut(core).map(|s| s as &mut dyn Recipe)
-            }
-            _ => None,
+    /// The analysis sessions of the placement, one part each, as the
+    /// [`Recipe`]s every consumer asks: one part on core 0 for a
+    /// uniprocessor or global spec, one per occupied core (ascending)
+    /// for a partitioned spec, none when the spec is unplaceable — the
+    /// order of [`PlacedRun::parts`].
+    pub fn parts_mut(&mut self) -> Vec<(usize, &mut dyn Recipe)> {
+        match self.ensure() {
+            Backend::Uni(session) => vec![(0, &mut **session as &mut dyn Recipe)],
+            Backend::Global(session) => vec![(0, &mut **session as &mut dyn Recipe)],
+            Backend::Multi(pa) => pa
+                .sessions_mut()
+                .map(|(core, session)| (core, session as &mut dyn Recipe))
+                .collect(),
+            Backend::Unplaceable(_) => Vec::new(),
         }
     }
 
-    /// Answer one query. Specs whose pre-flight [`Workbench::lint`]
-    /// carries Error-severity findings answer [`Response::Rejected`]
-    /// for every query — the static proofs make running the analyzer
-    /// pointless.
+    /// Answer one query from the placement's [parts](Self::parts_mut):
+    /// per-task rows come cores ascending, rank order within a core
+    /// (every row of a global spec reports core 0). Specs whose
+    /// pre-flight [`Workbench::lint`] carries Error-severity findings
+    /// answer [`Response::Rejected`] for every query — the static proofs
+    /// make running the analyzer pointless.
     ///
     /// # Errors
     /// [`AnalysisError`] when an underlying fixed point trips its
@@ -411,58 +415,70 @@ impl Workbench {
         if let Some(diag) = self.unplaceable() {
             return Ok(Response::Unplaceable(diag.to_string()));
         }
-        if matches!(self.ensure(), Backend::Global(_)) {
-            return Ok(self.global_query(query));
-        }
-        match query {
-            Query::Feasibility => self.feasibility(),
-            Query::WcrtAll => self.per_task(false).map(Response::WcrtAll),
-            Query::Thresholds => self.per_task(true).map(Response::Thresholds),
-            Query::EquitableAllowance => self.equitable(),
-            Query::SystemAllowance(policy) => {
-                let policy = *policy;
-                let per_task = self.for_each_core(|core, session| {
-                    let sa = session.system_allowance_with(policy)?;
-                    Ok(task_values(session, core, |rank| {
-                        sa.as_ref().map(|sa| sa.max_overrun[rank])
-                    }))
-                })?;
-                Ok(Response::SystemAllowance { policy, per_task })
+        let utilization = self.spec.set.utilization();
+        let mut parts = self.parts_mut();
+        Ok(match query {
+            Query::Feasibility => {
+                let overloaded = parts.iter_mut().any(|(_, part)| part.overloaded());
+                // Admission stops at the first part that refuses.
+                let mut feasible = !overloaded;
+                for (_, part) in &mut parts {
+                    feasible = feasible && part.admits()?;
+                }
+                Response::Feasibility {
+                    feasible,
+                    overloaded,
+                    utilization,
+                }
             }
+            Query::WcrtAll => Response::WcrtAll(rows(parts, |part| part.wcrt_rows())?),
+            Query::Thresholds => Response::Thresholds(rows(parts, |part| part.threshold_rows())?),
+            Query::EquitableAllowance => {
+                let mut cores = Vec::with_capacity(parts.len());
+                for (core, part) in parts {
+                    let (allowance, stops) = part
+                        .equitable()?
+                        .map_or((None, Vec::new()), |(a, s)| (Some(a), s));
+                    let stop_thresholds = stops
+                        .into_iter()
+                        .enumerate()
+                        .map(|(rank, stop)| row(part, core, rank, Some(stop)))
+                        .collect();
+                    cores.push(CoreAllowance {
+                        core,
+                        allowance,
+                        stop_thresholds,
+                    });
+                }
+                Response::EquitableAllowance(cores)
+            }
+            Query::SystemAllowance(policy) => Response::SystemAllowance {
+                policy: *policy,
+                per_task: rows(parts, |part| part.system_allowance_rows(*policy))?,
+            },
             Query::MaxSingleOverrun(id) => {
-                let id = *id;
-                let rows = self.for_each_core(|core, session| {
-                    let Some(rank) = session.task_set().rank_of(id) else {
-                        return Ok(Vec::new());
-                    };
-                    let m = session.max_single_overrun_with(
-                        rank,
-                        rtft_core::allowance::SlackPolicy::ProtectAll,
-                    )?;
-                    let spec = session.task_set().by_rank(rank);
-                    Ok(vec![TaskValue {
-                        task: spec.id,
-                        name: spec.name.clone(),
-                        core,
-                        value: m,
-                    }])
-                })?;
-                let v = rows
+                let (core, part, rank) = parts
                     .into_iter()
-                    .next()
+                    .find_map(|(core, part)| {
+                        let rank = part.task_set().rank_of(*id)?;
+                        Some((core, part, rank))
+                    })
                     .unwrap_or_else(|| panic!("overrun query names task {id:?} not in the set"));
-                Ok(Response::MaxSingleOverrun(v))
+                let value = part.protect_all_overrun(rank)?;
+                Response::MaxSingleOverrun(row(part, core, rank, value))
             }
-            Query::Sensitivity => {
-                let cores = self.for_each_core(|core, session| {
-                    Ok(vec![CoreScale {
-                        core,
-                        factor: session.cost_scaling_margin()?,
-                    }])
-                })?;
-                Ok(Response::Sensitivity(cores))
-            }
-        }
+            Query::Sensitivity => Response::Sensitivity(
+                parts
+                    .into_iter()
+                    .map(|(core, part)| {
+                        Ok(CoreScale {
+                            core,
+                            factor: part.scaling_margin()?,
+                        })
+                    })
+                    .collect::<Result<_, AnalysisError>>()?,
+            ),
+        })
     }
 
     /// Answer a batch, reordering execution for warm-start reuse while
@@ -485,238 +501,42 @@ impl Workbench {
             .map(|r| r.expect("answered"))
             .collect())
     }
-
-    /// Run `f` over every occupied core's `(core, session)`,
-    /// concatenating the per-core rows (cores ascending — rank order
-    /// within a core). The core's task set is read through the
-    /// session ([`Analyzer::task_set`]), so no set is cloned per query.
-    fn for_each_core<T>(
-        &mut self,
-        mut f: impl FnMut(usize, &mut Analyzer) -> Result<Vec<T>, AnalysisError>,
-    ) -> Result<Vec<T>, AnalysisError> {
-        match self.ensure() {
-            Backend::Uni(session) => f(0, session),
-            Backend::Multi(pa) => {
-                let mut out = Vec::new();
-                for (core, session) in pa.sessions_mut() {
-                    out.extend(f(core, session)?);
-                }
-                Ok(out)
-            }
-            Backend::Global(_) => unreachable!("run() routes global specs to global_query"),
-            Backend::Unplaceable(_) => unreachable!("run() short-circuits unplaceable specs"),
-        }
-    }
-
-    /// Answer one query over the global session. Globally scheduled
-    /// tasks have no home core, so every row reports core 0; all
-    /// numbers carry the crate's sufficient-only semantics (a `None`
-    /// WCRT is "no convergent bound", infeasible means "unproven").
-    fn global_query(&mut self, query: &Query) -> Response {
-        let ga = match self.ensure() {
-            Backend::Global(ga) => ga,
-            _ => unreachable!("global_query requires the global backend"),
-        };
-        match query {
-            Query::Feasibility => {
-                let v = ga.verdict();
-                Response::Feasibility {
-                    feasible: v.feasible,
-                    overloaded: v.overloaded,
-                    utilization: v.utilization,
-                }
-            }
-            Query::WcrtAll => {
-                let bounds = ga.wcrt_bounds().to_vec();
-                Response::WcrtAll(global_rows(ga.task_set(), &bounds))
-            }
-            Query::Thresholds => {
-                let bounds: Vec<_> = ga
-                    .stop_thresholds_at(Duration::ZERO)
-                    .into_iter()
-                    .map(Some)
-                    .collect();
-                Response::Thresholds(global_rows(ga.task_set(), &bounds))
-            }
-            Query::EquitableAllowance => {
-                let allowance = ga.equitable_allowance();
-                let stop_thresholds = allowance
-                    .map(|a| {
-                        let inflated: Vec<_> =
-                            ga.stop_thresholds_at(a).into_iter().map(Some).collect();
-                        global_rows(ga.task_set(), &inflated)
-                    })
-                    .unwrap_or_default();
-                Response::EquitableAllowance(vec![CoreAllowance {
-                    core: 0,
-                    allowance,
-                    stop_thresholds,
-                }])
-            }
-            // SlackPolicy cannot loosen the global bound (an overrun
-            // interferes with every lower-priority task system-wide),
-            // so both policies answer the protect-all maxima.
-            Query::SystemAllowance(policy) => {
-                let maxima: Vec<_> = (0..ga.task_set().len())
-                    .map(|rank| ga.max_single_overrun(rank))
-                    .collect();
-                Response::SystemAllowance {
-                    policy: *policy,
-                    per_task: global_rows(ga.task_set(), &maxima),
-                }
-            }
-            Query::MaxSingleOverrun(id) => {
-                let rank = ga
-                    .task_set()
-                    .rank_of(*id)
-                    .unwrap_or_else(|| panic!("overrun query names task {id:?} not in the set"));
-                let value = ga.max_single_overrun(rank);
-                let spec = ga.task_set().by_rank(rank);
-                Response::MaxSingleOverrun(TaskValue {
-                    task: spec.id,
-                    name: spec.name.clone(),
-                    core: 0,
-                    value,
-                })
-            }
-            Query::Sensitivity => Response::Sensitivity(vec![CoreScale {
-                core: 0,
-                factor: ga.cost_scaling_margin(),
-            }]),
-        }
-    }
-
-    fn feasibility(&mut self) -> Result<Response, AnalysisError> {
-        let utilization = self.spec.set.utilization();
-        match self.ensure() {
-            Backend::Uni(session) => {
-                if utilization > 1.0 {
-                    return Ok(Response::Feasibility {
-                        feasible: false,
-                        overloaded: true,
-                        utilization,
-                    });
-                }
-                Ok(Response::Feasibility {
-                    feasible: session.is_feasible()?,
-                    overloaded: false,
-                    utilization,
-                })
-            }
-            Backend::Multi(pa) => {
-                let overloaded = pa.partition().occupied_cores().any(|c| {
-                    pa.partition()
-                        .core_set(c)
-                        .is_some_and(|s| s.utilization() > 1.0)
-                });
-                if overloaded {
-                    return Ok(Response::Feasibility {
-                        feasible: false,
-                        overloaded: true,
-                        utilization,
-                    });
-                }
-                Ok(Response::Feasibility {
-                    feasible: pa.is_feasible()?,
-                    overloaded: false,
-                    utilization,
-                })
-            }
-            Backend::Global(_) => unreachable!("run() routes global specs to global_query"),
-            Backend::Unplaceable(_) => unreachable!("run() short-circuits unplaceable specs"),
-        }
-    }
-
-    /// Per-task durations: WCRTs (`thresholds = false`, `None` under
-    /// EDF) or detection thresholds (`thresholds = true`, deadlines
-    /// under EDF). Divergent tasks answer `None` either way.
-    fn per_task(&mut self, thresholds: bool) -> Result<Vec<TaskValue>, AnalysisError> {
-        let policy = self.spec.policy;
-        self.for_each_core(|core, session| {
-            let mut rows = Vec::with_capacity(session.len());
-            for rank in 0..session.len() {
-                let value = if policy == PolicyKind::Edf {
-                    if thresholds {
-                        Some(session.task_set().by_rank(rank).deadline)
-                    } else {
-                        None
-                    }
-                } else {
-                    match session.wcrt(rank) {
-                        Ok(w) => Some(w),
-                        Err(AnalysisError::Divergent { .. }) => None,
-                        Err(e) => return Err(e),
-                    }
-                };
-                let spec = session.task_set().by_rank(rank);
-                rows.push(TaskValue {
-                    task: spec.id,
-                    name: spec.name.clone(),
-                    core,
-                    value,
-                });
-            }
-            Ok(rows)
-        })
-    }
-
-    fn equitable(&mut self) -> Result<Response, AnalysisError> {
-        let cores = self.for_each_core(|core, session| {
-            let eq = session.equitable_allowance()?;
-            let stop_thresholds = eq
-                .as_ref()
-                .map(|eq| task_values(session, core, |rank| Some(eq.inflated_wcrt[rank])))
-                .unwrap_or_default();
-            Ok(vec![CoreAllowance {
-                core,
-                allowance: eq.map(|eq| eq.allowance),
-                stop_thresholds,
-            }])
-        })?;
-        Ok(Response::EquitableAllowance(cores))
-    }
 }
 
-/// Rank-ordered [`TaskValue`] rows over a globally scheduled set —
-/// every task on core 0 (global tasks have no home core).
-fn global_rows(set: &rtft_core::task::TaskSet, values: &[Option<Duration>]) -> Vec<TaskValue> {
-    (0..set.len())
-        .map(|rank| {
-            let spec = set.by_rank(rank);
-            TaskValue {
-                task: spec.id,
-                name: spec.name.clone(),
-                core: 0,
-                value: values[rank],
-            }
-        })
-        .collect()
+/// Every part's per-rank `values` as [`TaskValue`] rows, parts in order.
+fn rows(
+    parts: Vec<(usize, &mut dyn Recipe)>,
+    mut values: impl FnMut(&mut dyn Recipe) -> Result<Vec<Option<Duration>>, AnalysisError>,
+) -> Result<Vec<TaskValue>, AnalysisError> {
+    let mut out = Vec::new();
+    for (core, part) in parts {
+        let part_values = values(&mut *part)?;
+        out.extend(
+            part_values
+                .into_iter()
+                .enumerate()
+                .map(|(rank, value)| row(part, core, rank, value)),
+        );
+    }
+    Ok(out)
 }
 
-/// Rank-ordered [`TaskValue`] rows over one core's session.
-fn task_values(
-    session: &Analyzer,
-    core: usize,
-    value: impl Fn(usize) -> Option<Duration>,
-) -> Vec<TaskValue> {
-    let set = session.task_set();
-    (0..set.len())
-        .map(|rank| {
-            let spec = set.by_rank(rank);
-            TaskValue {
-                task: spec.id,
-                name: spec.name.clone(),
-                core,
-                value: value(rank),
-            }
-        })
-        .collect()
+/// The [`TaskValue`] row of the task at `rank` of one part.
+fn row(part: &dyn Recipe, core: usize, rank: usize, value: Option<Duration>) -> TaskValue {
+    let spec = part.task_set().by_rank(rank);
+    TaskValue {
+        task: spec.id,
+        name: spec.name.clone(),
+        core,
+        value,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rtft_core::allowance::SlackPolicy;
+    use rtft_core::policy::PolicyKind;
     use rtft_core::query::AllocPolicy;
     use rtft_core::task::{TaskBuilder, TaskId, TaskSet};
 

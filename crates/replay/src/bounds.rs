@@ -1,22 +1,22 @@
 //! Resolving the thresholds a trace must respect.
 //!
-//! Replay asks the one certification recipe ([`rtft_ft::recipe::Recipe`])
-//! the runners arm their detectors from and the campaign oracle certifies
-//! with: the detector thresholds the treatment armed and the certified
-//! response bound, including the out-of-allowance skip. Both are resolved
-//! **per task**, so the stepping checker never cares which placement
-//! produced an event — a partitioned job resolves each core's subset
-//! through its own session, exactly as the multicore runner does.
+//! Replay builds the job's `Workbench` — the one place a spec meets its
+//! placement — and asks each of its parts the one certification recipe
+//! ([`rtft_ft::recipe::Recipe`]) the runners arm their detectors from and
+//! the campaign oracle certifies with: the detector thresholds the
+//! treatment armed and the certified response bound, including the
+//! out-of-allowance skip. Both are resolved **per task**, so the stepping
+//! checker never cares which placement produced an event — a partitioned
+//! job resolves each core's subset through its own session, at its own
+//! fault slice, exactly as the multicore runner does.
 
 use crate::ReplayError;
 use rtft_campaign::JobSpec;
-use rtft_core::analyzer::Analyzer;
-use rtft_core::query::Placement;
-use rtft_core::task::{TaskId, TaskSet};
+use rtft_core::task::TaskId;
 use rtft_core::time::Duration;
 use rtft_ft::harness::HarnessError;
 use rtft_ft::recipe::{OracleSkip, Recipe};
-use rtft_global::GlobalAnalyzer;
+use rtft_part::workbench::Workbench;
 use std::collections::BTreeMap;
 
 /// Whether completions can be held to a certified response bound — the
@@ -96,39 +96,36 @@ impl ReplayBounds {
     }
 }
 
-/// Resolve the bounds a trace of `job` must respect, per placement:
-/// one uniprocessor session for 1-core jobs, one session per occupied
-/// core under partitioned placement (with each core's own fault slice
-/// deciding its certification), the global sufficient test under
-/// global placement.
+/// Resolve the bounds a trace of `job` must respect from every part of
+/// its placement: the whole set on one core or under global placement,
+/// each occupied core under partitioned placement (with the core's own
+/// fault slice deciding its certification).
 ///
 /// # Errors
 /// [`ReplayError::Analysis`] when the base system is infeasible (an
 /// infeasible system never ran, so no honest trace of it exists), the
 /// allocator finds no partition, or an analysis query fails.
 pub fn resolve_bounds(job: &JobSpec) -> Result<ReplayBounds, ReplayError> {
-    let mut per_task = BTreeMap::new();
+    let mut bench = Workbench::new(job.system_spec());
+    if let Some(diag) = bench.unplaceable() {
+        return Err(ReplayError::Analysis(diag.to_string()));
+    }
     let dmax = job.faults.max_overrun();
-    let skip = if job.cores <= 1 {
-        let mut session = Analyzer::for_policy(&job.set, job.policy);
-        task_bounds(&mut session, &job.set, job, dmax, &mut per_task)?
-    } else if job.placement == Placement::Global {
-        let mut session = GlobalAnalyzer::new((*job.set).clone(), job.cores, job.policy);
-        task_bounds(&mut session, &job.set, job, dmax, &mut per_task)?
-    } else {
-        let partition = rtft_part::alloc::allocate(&job.set, job.cores, job.policy, job.alloc)
-            .map_err(|e| ReplayError::Analysis(e.to_string()))?;
-        let mut skip = None;
-        for core in partition.occupied_cores() {
-            let subset = partition.core_set(core).expect("occupied core");
-            let core_dmax = partition.core_faults(&job.faults, core).max_overrun();
-            let mut session = Analyzer::for_policy(subset, job.policy);
-            let core_skip = task_bounds(&mut session, subset, job, core_dmax, &mut per_task)?;
-            // The job-wide face is the first uncertified core's.
-            skip = skip.or(core_skip);
-        }
-        skip
-    };
+    // Each partitioned core is certified at its own fault slice; the
+    // one part of any other placement at the job's.
+    let core_dmax: Vec<Duration> = bench.partition().map_or_else(Vec::new, |p| {
+        (0..p.cores())
+            .map(|core| p.core_faults(&job.faults, core).max_overrun())
+            .collect()
+    });
+    let mut per_task = BTreeMap::new();
+    let mut skip = None;
+    for (core, part) in bench.parts_mut() {
+        let part_dmax = core_dmax.get(core).copied().unwrap_or(dmax);
+        let part_skip = task_bounds(part, job, part_dmax, &mut per_task)?;
+        // The job-wide face is the first uncertified part's.
+        skip = skip.or(part_skip);
+    }
     let certification = match skip {
         None => Certification::Certified { dmax },
         Some(OracleSkip::Overheads) => Certification::Overheads,
@@ -144,12 +141,11 @@ pub fn resolve_bounds(job: &JobSpec) -> Result<ReplayBounds, ReplayError> {
     })
 }
 
-/// One session's rows of `set` (thresholds, detection delay, Δmax
-/// certificate) into `per_task`; returns why certification was declined,
-/// if it was. The system-allowance search is never run.
+/// One part's rows (thresholds, detection delay, Δmax certificate)
+/// into `per_task`; returns why certification was declined, if it was.
+/// The system-allowance search is never run.
 fn task_bounds(
-    session: &mut impl Recipe,
-    set: &TaskSet,
+    session: &mut dyn Recipe,
     job: &JobSpec,
     dmax: Duration,
     per_task: &mut BTreeMap<TaskId, TaskBounds>,
@@ -168,7 +164,7 @@ fn task_bounds(
         .detection(job.treatment, &baseline)
         .map_err(refused)?;
     let certified = session.certify(&baseline, dmax, job.platform.overheads.is_free());
-    for (rank, spec) in set.tasks().iter().enumerate() {
+    for (rank, spec) in session.task_set().tasks().iter().enumerate() {
         let threshold = thresholds.get(rank).copied();
         per_task.insert(
             spec.id,

@@ -38,10 +38,11 @@ fn main() {
 
     // 3. Per-core analysis: one memoized session per core.
     let mut sessions = PartitionedAnalyzer::new(partition.clone(), PolicyKind::FixedPriority);
-    assert!(sessions.is_feasible().expect("analysis converges"));
-    for core in partition.occupied_cores().collect::<Vec<_>>() {
-        let allowance = sessions.equitable_allowances().expect("converges")[core]
-            .as_ref()
+    for (core, session) in sessions.sessions_mut() {
+        assert!(session.is_feasible().expect("analysis converges"));
+        let allowance = session
+            .equitable_allowance()
+            .expect("converges")
             .map(|eq| eq.allowance.to_string())
             .unwrap_or_else(|| "-".to_string());
         println!("core {core}: equitable allowance A = {allowance}");

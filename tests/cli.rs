@@ -536,27 +536,51 @@ fn multicore_sweep_example_spec_runs_clean() {
     assert!(stdout.contains("0 violations"));
 }
 
+/// Every pinned query batch with its golden JSON: the paper batch plus
+/// one batch per placement and policy under `tests/golden/placement/`
+/// (partitioned twins, proven and unproven global twins, an
+/// unplaceable set).
+fn golden_query_batches(root: &std::path::Path) -> Vec<(std::path::PathBuf, std::path::PathBuf)> {
+    let mut batches = vec![(
+        root.join("examples/paper_queries.query"),
+        root.join("tests/golden/paper_queries.json"),
+    )];
+    let mut placement: Vec<_> = std::fs::read_dir(root.join("tests/golden/placement"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "query"))
+        .collect();
+    placement.sort();
+    assert!(placement.len() >= 10, "{placement:?}");
+    batches.extend(placement.into_iter().map(|batch| {
+        let golden = batch.with_extension("json");
+        (batch, golden)
+    }));
+    batches
+}
+
 #[test]
 fn query_batch_answers_match_the_pinned_golden_json() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let batch = root.join("examples/paper_queries.query");
-    let golden = root.join("tests/golden/paper_queries.json");
-    let out = rtft()
-        .args(["query", batch.to_str().unwrap(), "--json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success(), "{out:?}");
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    if std::env::var("UPDATE_GOLDEN").is_ok() {
-        std::fs::write(&golden, &stdout).unwrap();
-        return;
+    for (batch, golden) in golden_query_batches(root) {
+        let out = rtft()
+            .args(["query", batch.to_str().unwrap(), "--json"])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}: {out:?}", batch.display());
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        if std::env::var("UPDATE_GOLDEN").is_ok() {
+            std::fs::write(&golden, &stdout).unwrap();
+            continue;
+        }
+        let expected = std::fs::read_to_string(&golden).unwrap();
+        assert_eq!(
+            stdout,
+            expected,
+            "query responses drifted from {} (UPDATE_GOLDEN=1 to re-pin)",
+            golden.display()
+        );
     }
-    let expected = std::fs::read_to_string(&golden).unwrap();
-    assert_eq!(
-        stdout, expected,
-        "query responses drifted from tests/golden/paper_queries.json \
-         (UPDATE_GOLDEN=1 to re-pin)"
-    );
 }
 
 #[test]
@@ -610,6 +634,33 @@ fn query_batch_reads_stdin_and_dispatches_multicore() {
         stdout.contains("[core 1] equitable allowance A = 11ms"),
         "{stdout}"
     );
+}
+
+#[test]
+fn npfp_sensitivity_answers_when_a_probe_saturates_a_blocked_level() {
+    // Lint-clean, yet the scaling search's f = 2 probe fills τ1's level
+    // exactly while τ2 blocks it: that probe is infeasible, not an
+    // analysis failure, so the whole batch answers.
+    let dir = temp_dir("npfp-saturated");
+    let batch = dir.join("np.query");
+    std::fs::write(
+        &batch,
+        "system np\n\
+         task a 5 10ms 20ms 5ms\n\
+         task b 4 40ms 40ms 4ms\n\
+         policy npfp\n\
+         query feasibility\n\
+         query sensitivity\n",
+    )
+    .unwrap();
+    let out = rtft()
+        .args(["query", batch.to_str().unwrap(), "--json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains(r#""feasible":true"#), "{stdout}");
+    assert!(stdout.contains(r#""factor":1.666666"#), "{stdout}");
 }
 
 #[test]
