@@ -16,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rtft_campaign::capture_job;
 use rtft_core::analyzer::AnalyzerBuilder;
-use rtft_ft::harness::{run_scenario_buffered, run_scenario_streamed, Scenario};
+use rtft_ft::harness::{run_on_cores, run_scenario_buffered, Scenario};
 use rtft_ft::treatment::Treatment;
 use rtft_replay::{job_from_campaign, replay, replay_with, resolve_bounds};
 use rtft_sim::engine::SimBuffers;
@@ -106,9 +106,8 @@ fn bench_replay(c: &mut Criterion) {
         b.iter(|| {
             let mut seen = 0u64;
             let mut sink = |_core: Option<usize>, _at, _kind| seen += 1;
-            let out =
-                run_scenario_streamed(black_box(&sc), &mut session, &mut bufs, Some(&mut sink))
-                    .unwrap();
+            let (out, _) =
+                run_on_cores(black_box(&sc), &mut session, 1, &mut bufs, Some(&mut sink)).unwrap();
             black_box(seen);
             out
         })

@@ -14,11 +14,11 @@
 //! placement at most once per worker that touches it.
 //!
 //! Every job takes one path, whatever its placement. The workbench
-//! runs it on the runner its spec calls for ([`Workbench::simulate`])
-//! and hands back one [`PlacedRun`]. The differential oracle then
-//! checks each part of that run against the part's own session: the
-//! whole run on one core or under global placement, each core's slice
-//! of a partitioned run. The parts fold into one digest. Lone runs
+//! runs it as one list of parts ([`Workbench::simulate`]) and hands
+//! back one [`PlacedRun`]. The differential oracle then checks each
+//! part of that run against the part's own session and job slice: the
+//! whole job on one core or under global placement, each core's slice
+//! of a partitioned job. The parts fold into one digest. Lone runs
 //! ([`run_single`]) take the same body, and trace captures
 //! ([`capture_job`]) the same [`Workbench::simulate`].
 
@@ -26,8 +26,7 @@ use crate::oracle::{self, OracleOutcome, OracleSkip};
 use crate::report::{CampaignReport, JobDigest, JobStatus};
 use crate::spec::{treatment_keyword, CampaignSpec, JobSpec, SpecError};
 use rtft_ft::harness::{HarnessError, ScenarioOutcome};
-use rtft_part::workbench::{PlacedRun, RunError, Workbench};
-use rtft_part::Partition;
+use rtft_part::workbench::{Part, PlacedRun, RunError, Workbench};
 use rtft_sim::engine::SimBuffers;
 use rtft_sim::sink::TraceSink;
 use rtft_trace::{EventKind, TraceCapture};
@@ -216,39 +215,34 @@ fn run_checked(
     digest.trace_hash = run.trace_hash();
     digest.failed_tasks = run.failed_tasks();
     digest.collateral = run.collateral_failures();
-    // A core's slice is checked and tallied as a standalone 1-core job,
-    // so a violation minimizes to a single-core repro spec.
-    let jobs: Vec<Cow<'_, JobSpec>> = match bench.partition() {
-        Some(partition) => partition
-            .occupied_cores()
-            .map(|core| Cow::Owned(core_job(job, partition, core)))
-            .collect(),
-        None => vec![Cow::Borrowed(job)],
-    };
     let mut verdicts = Vec::new();
-    // The run's parts, the jobs and the workbench's parts share one order.
-    for ((outcome, part), (_, session)) in run.parts().into_iter().zip(&jobs).zip(bench.parts_mut())
-    {
+    // The run's parts and the workbench's parts share one order.
+    for (outcome, part) in run.parts().zip(bench.parts_mut()) {
+        let part_job = part_job(job, &part);
         if oracle {
-            verdicts.push(oracle::check_part(part, outcome, session));
+            verdicts.push(oracle::check_part(&part_job, outcome, part.session));
         }
-        tally(&mut digest, part, outcome);
+        tally(&mut digest, &part_job, outcome);
     }
     digest.oracle = merge_oracle(verdicts);
     Ok((run, digest))
 }
 
-/// The `cores`-restriction of a job: the core's subset and fault slice
-/// as a standalone 1-core job spec.
-fn core_job(job: &JobSpec, partition: &Partition, core: usize) -> JobSpec {
-    JobSpec {
-        set_label: rtft_part::multicore::core_label(&job.set_label, core),
-        set: Arc::new(partition.core_set(core).expect("occupied core").clone()),
+/// The job one part runs: `job` itself, or — for a core's slice — the
+/// core's subset, fault slice and label as a standalone 1-core job, so
+/// a violation minimizes to a single-core repro spec.
+fn part_job<'j>(job: &'j JobSpec, part: &Part<'_>) -> Cow<'j, JobSpec> {
+    if !part.is_slice() {
+        return Cow::Borrowed(job);
+    }
+    Cow::Owned(JobSpec {
+        set_label: part.label(&job.set_label).into_owned(),
+        set: Arc::new(part.session.task_set().clone()),
         cores: 1,
         placement: rtft_core::query::Placement::Partitioned,
-        faults: partition.core_faults(&job.faults, core),
+        faults: part.faults(&job.faults).into_owned(),
         ..job.clone()
-    }
+    })
 }
 
 /// Fold per-core oracle outcomes into the job's verdict: any violation
@@ -490,12 +484,16 @@ platform jrate
     fn run_single_matches_the_harness() {
         let spec = parse_spec(PAPER_GRID).unwrap();
         let job = &spec.expand().unwrap()[4];
-        let single = run_single(job, true).unwrap();
-        let PlacedRun::Uni(outcome) = &single.run else {
-            panic!("a 1-core job runs on the uniprocessor harness");
-        };
+        let mut single = run_single(job, true).unwrap();
+        assert!(
+            single.bench.uni_session_mut().is_some(),
+            "a 1-core job runs on the uniprocessor session"
+        );
+        let outcomes: Vec<_> = single.run.parts().collect();
+        assert_eq!(outcomes.len(), 1);
         let direct = rtft_ft::harness::run_scenario(&job.scenario()).unwrap();
-        assert_eq!(outcome.log, direct.log);
+        assert_eq!(outcomes[0].log, direct.log);
+        assert_eq!(single.run.trace_hash(), direct.log.content_hash());
         assert!(!single.oracle.was_checked(), "40 ms is out of allowance");
     }
 
@@ -613,15 +611,17 @@ platform exact
     fn run_single_global_matches_the_campaign_path() {
         let spec = parse_spec(PLACEMENT_GRID).unwrap();
         let job = &spec.expand().unwrap()[1]; // the global cell
-        let single = run_single(job, true).unwrap();
-        let PlacedRun::Global(global) = &single.run else {
-            panic!("a global cell runs on the global runner");
-        };
-        assert_eq!(global.cores, 2);
+        let mut single = run_single(job, true).unwrap();
+        assert!(
+            single.bench.global_mut().is_some(),
+            "a global cell runs on the global session"
+        );
+        assert_eq!(single.bench.spec().cores, 2);
+        assert_eq!(single.run.parts().count(), 1);
         assert!(single.oracle.was_checked());
         assert!(single.oracle.violations().is_empty());
         let report = run_campaign(&spec, &RunConfig::sequential()).unwrap();
-        assert_eq!(report.jobs[1].trace_hash, global.merged_hash);
+        assert_eq!(report.jobs[1].trace_hash, single.run.trace_hash());
     }
 
     #[test]
@@ -669,14 +669,11 @@ platform exact
         let job = &spec.expand().unwrap()[3]; // cores=2, ffd
         let mut single = run_single(job, true).unwrap();
         assert_eq!(single.bench.partition().unwrap().cores(), 2);
-        let PlacedRun::Partitioned(multi) = &single.run else {
-            panic!("a partitioned cell runs on the partitioned runner");
-        };
-        assert_eq!(multi.cores.len(), 2);
+        assert_eq!(single.run.parts().count(), 2, "one part per occupied core");
         assert!(single.oracle.was_checked());
         assert!(single.oracle.violations().is_empty());
         let report = run_campaign(&spec, &RunConfig::sequential()).unwrap();
-        assert_eq!(report.jobs[3].trace_hash, multi.merged_hash());
+        assert_eq!(report.jobs[3].trace_hash, single.run.trace_hash());
     }
 
     #[test]

@@ -287,9 +287,8 @@ pub struct JobSpec {
     pub index: usize,
     /// Ordinal of the concrete `(set instance, policy, cores,
     /// placement, alloc)` tuple — engine workers key their memoized
-    /// analysis sessions on it (a uniprocessor
-    /// [`rtft_core::analyzer::Analyzer`] for 1-core jobs, a
-    /// [`rtft_part::PartitionedAnalyzer`] for partitioned multicore, a
+    /// `Workbench` on it (a [`rtft_part::PartitionedAnalyzer`] over the
+    /// single-core or the allocator's partition, or a
     /// [`rtft_global::GlobalAnalyzer`] for global multicore; each is
     /// built for one policy over one placement of one set).
     pub set_ordinal: usize,

@@ -29,9 +29,9 @@
 //!   highest feasible inflation found so far, turning
 //!   `O(probes × full fixed point)` into `O(probes × small delta)`.
 //!
-//! The legacy free functions survive as thin deprecated shims over this
-//! type and return **bit-identical** results: warm starting changes the
-//! number of recurrence iterations, never the fixed point.
+//! Warm starting changes the number of recurrence iterations, never the
+//! fixed point: a session returns **bit-identical** results to the cold
+//! [`crate::response::ResponseAnalysis`] path.
 //!
 //! ```
 //! use rtft_core::analyzer::Analyzer;

@@ -64,7 +64,7 @@ pub struct TaskResponse {
 /// borrow-based) and [`crate::analyzer::Analyzer`] (memoized,
 /// warm-started) delegate here, so the recurrence arithmetic exists in
 /// exactly one place and the two paths cannot drift apart — the
-/// bit-identical-results guarantee of the deprecated shims rests on it.
+/// bit-identical-results guarantee between them rests on it.
 pub(crate) mod engine {
     use super::{AnalysisError, Duration, JobResponse, TaskResponse, TaskSet};
 

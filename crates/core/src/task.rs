@@ -4,7 +4,8 @@
 //! cost `C_i`, relative deadline `D_i`, period `T_i`, priority `P_i` —
 //! plus a release offset (phase) used to reproduce the evaluation scenarios
 //! (the paper's figures show τ3 activating inside the observation window,
-//! which requires a non-zero phase; see DESIGN.md §2).
+//! which requires a non-zero phase: with τ3 strictly periodic from 0 its
+//! releases never meet τ1's fifth job at t = 1000 ms).
 
 use crate::error::ModelError;
 use crate::time::Duration;

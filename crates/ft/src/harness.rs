@@ -11,15 +11,16 @@
 //! thresholds and allowance maxima from a certification [`Recipe`]
 //! session, the supervised simulation on `m ≥ 1` cores of the one
 //! engine, and the trace reduction. Every placement runs through it.
-//! [`run_scenario_streamed`] is its one-core case against the exact
-//! uniprocessor [`Analyzer`]: the `rtft-part` `Workbench` runs every
-//! 1-core job there (one memoized session per set instance) — campaign
-//! grid jobs, lone runs (`rtft_campaign::run_single`) and trace
-//! captures alike — and a partitioned multiprocessor run is one call
-//! per core (the core's subset, its fault slice, its own session). The
-//! global runner of `rtft-global` is its `m`-core case against the
-//! sufficient-only global analysis. So a paper figure, a million-job
-//! sweep and a multicore run all exercise identical code.
+//! The `rtft-part` `Workbench` runs a job as a list of parts, one call
+//! of the body each: the whole scenario on one core against the exact
+//! uniprocessor [`Analyzer`], each occupied core's slice (its subset,
+//! fault slice and own session) of a partitioned system, or the whole
+//! scenario on `m` cores against the sufficient-only global analysis of
+//! `rtft-global`. Campaign grid jobs, lone runs
+//! (`rtft_campaign::run_single`) and trace captures all go that way, so
+//! a paper figure, a million-job sweep and a multicore run exercise
+//! identical code. [`run_scenario_buffered`] is the body's one-core face
+//! for callers that hold a bare [`Analyzer`] session.
 
 use crate::detector::FtSupervisor;
 use crate::manager::AllowanceManager;
@@ -252,25 +253,7 @@ pub fn run_scenario_buffered(
     session: &mut Analyzer,
     bufs: &mut SimBuffers,
 ) -> Result<ScenarioOutcome, HarnessError> {
-    run_scenario_streamed(sc, session, bufs, None)
-}
-
-/// [`run_scenario_buffered`], additionally feeding every recorded event
-/// to `sink` (when given) as the simulation produces it (the
-/// live-streaming path of `rtft serve`; see
-/// [`rtft_sim::sink::TraceSink`]). The outcome — and its trace — is
-/// byte-identical to the unsunk run.
-///
-/// # Panics
-/// Panics if `session` analyses a different task set, or was built for
-/// a different scheduling policy, than the scenario.
-pub fn run_scenario_streamed(
-    sc: &Scenario,
-    session: &mut Analyzer,
-    bufs: &mut SimBuffers,
-    sink: Option<&mut dyn TraceSink>,
-) -> Result<ScenarioOutcome, HarnessError> {
-    run_on_cores(sc, session, 1, bufs, sink).map(|(outcome, _)| outcome)
+    run_on_cores(sc, session, 1, bufs, None).map(|(outcome, _)| outcome)
 }
 
 /// The one run body: run `sc` on `cores` cores of the one engine,
@@ -278,7 +261,9 @@ pub fn run_scenario_streamed(
 /// [`Recipe`] — the admission gate, the detector thresholds the
 /// treatment arms and, under the system-allowance treatment, the
 /// maxima the allowance manager grants. Feeds every recorded event to
-/// `sink` when given (see [`run_scenario_streamed`]).
+/// `sink` when given, as the simulation produces it (the live-streaming
+/// path of `rtft serve`; see [`rtft_sim::sink::TraceSink`]); the
+/// outcome — and its trace — is byte-identical to the unsunk run.
 ///
 /// Returns the outcome and, on more than one core, the per-core split
 /// of its trace (`rtft_sim::engine::Simulator::core_logs`). A one-core

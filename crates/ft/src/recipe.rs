@@ -63,6 +63,12 @@ pub trait Recipe {
     /// Scheduling policy the session analyses under.
     fn policy(&self) -> PolicyKind;
 
+    /// Cores of the one engine the session's part runs on: one for a
+    /// uniprocessor session, `m` for a shared-queue global one.
+    fn engine_cores(&self) -> usize {
+        1
+    }
+
     /// The admission gate ([`HarnessError::InfeasibleBase`] when the base
     /// system is not admitted), then the per-rank baseline thresholds.
     fn baseline(&mut self) -> Result<Vec<Duration>, HarnessError>;

@@ -265,6 +265,11 @@ impl Recipe for GlobalAnalyzer {
         self.policy
     }
 
+    /// The `m` migrating cores of the shared queue.
+    fn engine_cores(&self) -> usize {
+        self.cores
+    }
+
     fn baseline(&mut self) -> Result<Vec<Duration>, HarnessError> {
         // Unproven systems never run.
         if !self.is_feasible() {

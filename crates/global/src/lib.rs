@@ -28,9 +28,7 @@ pub mod bounds;
 pub mod runner;
 
 pub use analyzer::{GlobalAnalyzer, GlobalVerdict};
-pub use runner::{
-    run_global, run_global_buffered, run_global_streamed, run_global_with, GlobalOutcome,
-};
+pub use runner::{run_global_buffered, GlobalOutcome};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
@@ -38,7 +36,5 @@ pub mod prelude {
     pub use crate::bounds::{
         envelope, gedf_schedulable, gfp_response_bound, gfp_schedulable, schedulable,
     };
-    pub use crate::runner::{
-        run_global, run_global_buffered, run_global_streamed, run_global_with, GlobalOutcome,
-    };
+    pub use crate::runner::{run_global_buffered, GlobalOutcome};
 }

@@ -34,60 +34,38 @@
 
 use rtft_ft::harness::{run_on_cores, HarnessError, Scenario, ScenarioOutcome};
 use rtft_sim::engine::SimBuffers;
-use rtft_sim::sink::TraceSink;
-use rtft_trace::merge::merged_content_hash;
 use rtft_trace::TraceLog;
 
 use crate::analyzer::GlobalAnalyzer;
 
 /// Everything a global run produced: the merged scenario outcome plus
-/// the multiprocessor-specific extras.
+/// its per-core split.
 #[derive(Debug)]
 pub struct GlobalOutcome {
     /// The merged, core-tagged outcome (trace, stats, verdicts and the
     /// analysis numbers that parameterized the run).
     pub outcome: ScenarioOutcome,
-    /// Core count the scenario ran on.
-    pub cores: usize,
-    /// Order-insensitive hash over the per-core projections of the
-    /// trace — comparable across worker counts and with a partitioned
-    /// run's merged hash. Computed once, by
-    /// [`rtft_trace::merge::merged_content_hash`] over `core_logs`, so
-    /// the run's trace is split and hashed a single time.
-    pub merged_hash: u64,
-    /// The per-core projections themselves, ascending core index, with
-    /// one extra trailing log (index `cores`) holding the platform-level
-    /// events (releases, deadline checks, `SimEnd`). Folding these with
-    /// [`rtft_trace::merge::merged_content_hash`] reproduces
-    /// `merged_hash`; trace exporters persist them core-tagged. Empty on
-    /// one core, whose trace is the flat `outcome.log`.
+    /// The per-core projections of the trace, ascending core index,
+    /// with one extra trailing log (index `cores`) holding the
+    /// platform-level events (releases, deadline checks, `SimEnd`).
+    /// Folding these with [`rtft_trace::merge::merged_content_hash`]
+    /// gives the run's trace hash; trace exporters persist them
+    /// core-tagged. Empty on one core, whose trace is the flat
+    /// `outcome.log`.
     pub core_logs: Vec<(usize, TraceLog)>,
 }
 
-/// Run a scenario on `cores` migrating cores with a throwaway analysis
-/// session.
-pub fn run_global(sc: &Scenario, cores: usize) -> Result<GlobalOutcome, HarnessError> {
-    let mut session = GlobalAnalyzer::new(sc.set.clone(), cores, sc.policy);
-    run_global_with(sc, &mut session)
-}
-
-/// Run a scenario against a caller-held [`GlobalAnalyzer`] session —
-/// the memoized bounds and allowances are then shared across scenarios,
-/// exactly as the uniprocessor harness shares its `Analyzer`.
+/// Run a scenario on the session's migrating cores against a
+/// caller-held [`GlobalAnalyzer`] session — the memoized bounds and
+/// allowances are then shared across scenarios, exactly as the
+/// uniprocessor harness shares its `Analyzer` — reusing caller-held
+/// simulation storage (see `rtft_ft::harness::run_scenario_buffered`
+/// for the recycling contract — it is identical here). The
+/// `rtft-part` `Workbench` runs a global job through the same body.
 ///
-/// # Panics
-/// Panics if `session` analyses a different task set, or was built for
-/// a different scheduling policy, than the scenario.
-pub fn run_global_with(
-    sc: &Scenario,
-    session: &mut GlobalAnalyzer,
-) -> Result<GlobalOutcome, HarnessError> {
-    run_global_buffered(sc, session, &mut SimBuffers::new())
-}
-
-/// [`run_global_with`], reusing caller-held simulation storage (see
-/// `rtft_ft::harness::run_scenario_buffered` for the recycling
-/// contract — it is identical here).
+/// # Errors
+/// [`HarnessError::InfeasibleBase`] when the sufficient test does not
+/// prove the set (or finds no allowance the treatment needs).
 ///
 /// # Panics
 /// Panics if `session` analyses a different task set, or was built for
@@ -97,43 +75,9 @@ pub fn run_global_buffered(
     session: &mut GlobalAnalyzer,
     bufs: &mut SimBuffers,
 ) -> Result<GlobalOutcome, HarnessError> {
-    run_global_streamed(sc, session, bufs, None)
-}
-
-/// [`run_global_buffered`], additionally feeding every recorded event to
-/// `sink` (when given) as the simulation produces it: execution events
-/// arrive tagged with their executing core, platform-level events
-/// (releases, detector fires, `SimEnd`) with `None` — the same
-/// attribution the core-tagged trace persists (see
-/// [`Simulator::core_of`](rtft_sim::engine::Simulator::core_of)). The
-/// outcome is byte-identical to the unsunk run.
-///
-/// # Errors
-/// As [`run_global`].
-///
-/// # Panics
-/// As [`run_global_with`].
-pub fn run_global_streamed(
-    sc: &Scenario,
-    session: &mut GlobalAnalyzer,
-    bufs: &mut SimBuffers,
-    sink: Option<&mut dyn TraceSink>,
-) -> Result<GlobalOutcome, HarnessError> {
     let cores = session.cores();
-    let (outcome, core_logs) = run_on_cores(sc, session, cores, bufs, sink)?;
-    let refs: Vec<(usize, &TraceLog)> = if core_logs.is_empty() {
-        // One core keeps no split: its only log is the whole trace.
-        vec![(0, &outcome.log)]
-    } else {
-        core_logs.iter().map(|(c, l)| (*c, l)).collect()
-    };
-    let merged_hash = merged_content_hash(&refs);
-    Ok(GlobalOutcome {
-        outcome,
-        cores,
-        merged_hash,
-        core_logs,
-    })
+    let (outcome, core_logs) = run_on_cores(sc, session, cores, bufs, None)?;
+    Ok(GlobalOutcome { outcome, core_logs })
 }
 
 #[cfg(test)]
@@ -146,9 +90,22 @@ mod tests {
     use rtft_sim::fault::FaultPlan;
     use rtft_sim::stop::StopMode;
     use rtft_trace::event::EventKind;
+    use rtft_trace::merge::merged_content_hash;
 
     fn ms(v: i64) -> Duration {
         Duration::millis(v)
+    }
+
+    /// A run on `cores` cores against a throwaway session.
+    fn run_global(sc: &Scenario, cores: usize) -> Result<GlobalOutcome, HarnessError> {
+        let mut session = GlobalAnalyzer::new(sc.set.clone(), cores, sc.policy);
+        run_global_buffered(sc, &mut session, &mut SimBuffers::new())
+    }
+
+    /// The run's trace hash: the fold over its per-core projections.
+    fn merged_hash(out: &GlobalOutcome) -> u64 {
+        let logs: Vec<(usize, &TraceLog)> = out.core_logs.iter().map(|(c, l)| (*c, l)).collect();
+        merged_content_hash(&logs)
     }
 
     /// The paper's lineup with costs halved to 14 ms — provable by the
@@ -200,7 +157,8 @@ mod tests {
     #[test]
     fn detect_only_runs_and_reports_the_injected_task() {
         let out = run_global(&scenario(Treatment::DetectOnly), 2).unwrap();
-        assert_eq!(out.cores, 2);
+        // Two cores plus the trailing platform-level log.
+        assert_eq!(out.core_logs.len(), 3);
         assert_eq!(out.outcome.injected_faulty, vec![TaskId(1)]);
         assert!(out
             .outcome
@@ -257,17 +215,18 @@ mod tests {
             a.outcome.analysis.system_allowance,
             b.outcome.analysis.system_allowance
         );
-        assert_eq!(a.merged_hash, b.merged_hash);
+        assert_eq!(merged_hash(&a), merged_hash(&b));
     }
 
     #[test]
     fn one_core_run_hashes_its_flat_log() {
-        let out = run_global(&scenario(Treatment::DetectOnly), 1).unwrap();
-        assert_eq!(out.cores, 1);
+        let sc = scenario(Treatment::DetectOnly);
+        let out = run_global(&sc, 1).unwrap();
         assert!(out.core_logs.is_empty(), "one core keeps no split");
+        assert!(!out.outcome.log.is_empty());
         assert_eq!(
-            out.merged_hash,
-            merged_content_hash(&[(0, &out.outcome.log)])
+            out.outcome.log.content_hash(),
+            run_global(&sc, 1).unwrap().outcome.log.content_hash()
         );
     }
 
@@ -278,7 +237,7 @@ mod tests {
         });
         let a = run_global(&sc, 2).unwrap();
         let b = run_global(&sc, 2).unwrap();
-        assert_eq!(a.merged_hash, b.merged_hash);
+        assert_eq!(merged_hash(&a), merged_hash(&b));
         assert_eq!(a.outcome.log.events(), b.outcome.log.events());
     }
 }

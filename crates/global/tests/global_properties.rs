@@ -14,6 +14,7 @@ use rtft_core::time::{Duration, Instant};
 use rtft_ft::harness::Scenario;
 use rtft_ft::treatment::Treatment;
 use rtft_global::prelude::*;
+use rtft_sim::engine::SimBuffers;
 use rtft_sim::fault::FaultPlan;
 use rtft_taskgen::generator::GeneratorConfig;
 
@@ -54,7 +55,7 @@ proptest! {
             Instant::from_millis(HORIZON),
         )
         .with_policy(policy);
-        let out = run_global_with(&sc, &mut session).expect("accepted sets run");
+        let out = run_global_buffered(&sc, &mut session, &mut SimBuffers::new()).expect("accepted sets run");
         prop_assert!(
             out.outcome.verdict.all_ok(),
             "analysis-feasible set missed under {policy:?}: {:?}",
@@ -94,7 +95,7 @@ proptest! {
             Treatment::DetectOnly,
             Instant::from_millis(HORIZON),
         );
-        let out = run_global_with(&sc, &mut session).expect("accepted sets run");
+        let out = run_global_buffered(&sc, &mut session, &mut SimBuffers::new()).expect("accepted sets run");
         for (i, t) in set.tasks().iter().enumerate() {
             if let Some(observed) = out.outcome.stats.observed_wcrt(t.id) {
                 prop_assert!(

@@ -5,11 +5,12 @@
 //! depends only on the tasks sharing its core. [`PartitionedAnalyzer`]
 //! therefore owns one memoized uniprocessor [`Analyzer`] session per
 //! occupied core — the exact session the harness, detectors and
-//! differential oracle already consume. It asks nothing itself: the
-//! `Workbench` hands each core's session out as one part of the
-//! placement, and every query is answered core by core from there.
+//! differential oracle already consume. It asks nothing itself: it
+//! hands each core's session out as one [`Part`] of the placement, and
+//! every query and run is answered core by core from there.
 
 use crate::partition::Partition;
+use crate::workbench::Part;
 use rtft_core::analyzer::Analyzer;
 use rtft_core::policy::PolicyKind;
 
@@ -53,6 +54,24 @@ impl PartitionedAnalyzer {
             .iter_mut()
             .enumerate()
             .filter_map(|(core, s)| s.as_mut().map(|s| (core, s)))
+    }
+
+    /// Every occupied core's session as a [`Part`], cores ascending:
+    /// the core slices of a partitioned job, or — over the single-core
+    /// partition — the one part that runs the whole job.
+    pub fn parts_mut(&mut self) -> Vec<Part<'_>> {
+        let slice = (self.partition.cores() > 1).then_some(&self.partition);
+        self.sessions
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(core, s)| {
+                s.as_mut().map(|session| Part {
+                    core,
+                    session,
+                    slice,
+                })
+            })
+            .collect()
     }
 }
 

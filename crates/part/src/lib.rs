@@ -25,7 +25,9 @@
 //! * [`multicore`] — partitioned execution: one engine per core over a
 //!   shared virtual clock, merged into a deterministic core-tagged
 //!   trace ([`rtft_trace::merge`]). A 1-core partition reproduces the
-//!   uniprocessor engine bit for bit.
+//!   uniprocessor engine bit for bit;
+//! * [`workbench`] — the [`Workbench`], which runs every placement
+//!   (one core, partitioned or global) as one list of [`Part`]s.
 //!
 //! ```
 //! use rtft_part::prelude::*;
@@ -66,15 +68,15 @@ pub mod workbench;
 
 pub use alloc::{allocate, AllocError, AllocPolicy};
 pub use analyzer::PartitionedAnalyzer;
-pub use multicore::{run_partitioned, CoreOutcome, MulticoreOutcome};
+pub use multicore::{run_partitioned_buffered, CoreOutcome, MulticoreOutcome};
 pub use partition::Partition;
-pub use workbench::{PlacedRun, RunError, Workbench};
+pub use workbench::{Part, PlacedRun, RunError, Workbench};
 
 /// One-stop imports.
 pub mod prelude {
     pub use crate::alloc::{allocate, AllocError, AllocPolicy};
     pub use crate::analyzer::PartitionedAnalyzer;
-    pub use crate::multicore::{run_partitioned, MulticoreOutcome};
+    pub use crate::multicore::{run_partitioned_buffered, MulticoreOutcome};
     pub use crate::partition::Partition;
-    pub use crate::workbench::{PlacedRun, RunError, Workbench};
+    pub use crate::workbench::{Part, PlacedRun, RunError, Workbench};
 }

@@ -4,25 +4,26 @@
 //! over a shared virtual clock: no task migrates, so the cores never
 //! interact and each core's schedule is exactly what a one-core
 //! [`Simulator`](rtft_sim::engine::Simulator) produces for the core's
-//! subset. [`run_partitioned`] exploits that: every occupied
-//! core becomes an ordinary [`Scenario`] (the core's task set, the fault
-//! plan restricted to it, the same treatment/platform/policy) executed
-//! by [`run_scenario_streamed`], the one-core face of the one run body
-//! [`rtft_ft::harness::run_on_cores`], against the core's memoized
+//! subset. The `Workbench` exploits that: every occupied core is one
+//! [`Part`](crate::workbench::Part) of the placement, whose job slice is
+//! an ordinary [`Scenario`] (the core's task set, the fault plan
+//! restricted to it, the `@cN` label, the same
+//! treatment/platform/policy), executed by the one run body
+//! [`rtft_ft::harness::run_on_cores`] against the core's memoized
 //! session — detectors, allowance managers and verdicts all work per
-//! core without modification — and
-//! the per-core traces are recombined into a deterministic, core-tagged
-//! merged stream ([`rtft_trace::merge`]).
+//! core without modification — and the per-core traces recombine into a
+//! deterministic, core-tagged merged stream ([`rtft_trace::merge`]).
+//! [`run_partitioned_buffered`] is the same part loop over a
+//! caller-held [`PartitionedAnalyzer`].
 //!
-//! With a 1-core partition the core scenario *is* the input scenario, so
-//! the single trace is bit-for-bit the uniprocessor engine's output.
+//! A 1-core partition's one part runs the input scenario itself, so its
+//! trace is bit-for-bit the uniprocessor engine's output.
 
 use crate::analyzer::PartitionedAnalyzer;
-use rtft_core::task::TaskId;
-use rtft_ft::harness::{run_scenario_streamed, HarnessError, Scenario, ScenarioOutcome};
+use crate::workbench::PlacedRun;
+use rtft_ft::harness::{HarnessError, Scenario, ScenarioOutcome};
 use rtft_sim::engine::SimBuffers;
-use rtft_sim::sink::{CoreTag, TraceSink};
-use rtft_trace::merge::{merge_core_traces, merged_content_hash, CoreEvent};
+use rtft_trace::merge::merged_content_hash;
 use rtft_trace::TraceLog;
 
 /// One core's slice of a partitioned run.
@@ -38,8 +39,6 @@ pub struct CoreOutcome {
 /// order, recombinable into one merged core-tagged stream.
 #[derive(Debug)]
 pub struct MulticoreOutcome {
-    /// Label of the run.
-    pub name: String,
     /// Per-core outcomes, ascending core index (occupied cores only).
     pub cores: Vec<CoreOutcome>,
 }
@@ -54,38 +53,9 @@ impl MulticoreOutcome {
             .collect()
     }
 
-    /// The merged chronological core-tagged event stream.
-    pub fn merged_events(&self) -> Vec<CoreEvent> {
-        merge_core_traces(&self.logs())
-    }
-
     /// Stable content hash of the whole run (all cores, core-tagged).
     pub fn merged_hash(&self) -> u64 {
         merged_content_hash(&self.logs())
-    }
-
-    /// Tasks that failed their verdict, across all cores, sorted.
-    pub fn failed_tasks(&self) -> Vec<TaskId> {
-        let mut out: Vec<TaskId> = self
-            .cores
-            .iter()
-            .flat_map(|c| c.outcome.verdict.failed_tasks())
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// Non-faulty tasks that failed anyway, across all cores, sorted —
-    /// under partitioning collateral damage cannot cross cores, so this
-    /// is the union of the per-core collateral sets.
-    pub fn collateral_failures(&self) -> Vec<TaskId> {
-        let mut out: Vec<TaskId> = self
-            .cores
-            .iter()
-            .flat_map(|c| c.outcome.collateral_failures())
-            .collect();
-        out.sort_unstable();
-        out
     }
 }
 
@@ -95,31 +65,12 @@ pub fn core_label(name: &str, core: usize) -> String {
     format!("{name}@c{core}")
 }
 
-/// The scenario one core runs: the core's subset, the fault plan
-/// restricted to it, everything else inherited from the system scenario.
-pub fn core_scenario(sc: &Scenario, session: &PartitionedAnalyzer, core: usize) -> Scenario {
-    let partition = session.partition();
-    let set = partition
-        .core_set(core)
-        .expect("core_scenario: empty core")
-        .clone();
-    let faults = partition.core_faults(&sc.faults, core);
-    Scenario::new(
-        core_label(&sc.name, core),
-        set,
-        faults,
-        sc.treatment,
-        sc.horizon,
-    )
-    .with_timer_model(sc.timer_model)
-    .with_stop_model(sc.stop_model)
-    .with_overheads(sc.overheads)
-    .with_policy(sc.policy)
-}
-
-/// Execute `sc` partitioned: one engine per occupied core of the
-/// session's partition, each driven through the unchanged uniprocessor
-/// harness against the core's memoized analysis session.
+/// Execute `sc` partitioned, reusing caller-held simulation storage:
+/// one engine per occupied core of the session's partition, each run
+/// through the one run body against the core's memoized analysis
+/// session. The cores run sequentially, so one [`SimBuffers`] serves
+/// them all (each core's trace is kept for the merge; the wake queue
+/// and occurrence outbox carry over).
 ///
 /// # Errors
 /// [`HarnessError`] from the first core whose admission or treatment
@@ -130,79 +81,28 @@ pub fn core_scenario(sc: &Scenario, session: &PartitionedAnalyzer, core: usize) 
 /// # Panics
 /// Panics if the session's partition does not cover `sc.set` (the
 /// scenario and partition must describe the same system).
-pub fn run_partitioned(
-    sc: &Scenario,
-    session: &mut PartitionedAnalyzer,
-) -> Result<MulticoreOutcome, HarnessError> {
-    run_partitioned_buffered(sc, session, &mut SimBuffers::new())
-}
-
-/// [`run_partitioned`], reusing caller-held simulation storage: the
-/// cores run sequentially, so one [`SimBuffers`] serves them all (each
-/// core's trace is kept for the merge; the wake queue and occurrence
-/// outbox carry over). A batch driver passes its per-worker buffers
-/// here for cross-job reuse as well.
-///
-/// # Errors
-/// As [`run_partitioned`].
-///
-/// # Panics
-/// As [`run_partitioned`].
 pub fn run_partitioned_buffered(
     sc: &Scenario,
     session: &mut PartitionedAnalyzer,
     bufs: &mut SimBuffers,
 ) -> Result<MulticoreOutcome, HarnessError> {
-    run_partitioned_streamed(sc, session, bufs, None)
-}
-
-/// [`run_partitioned_buffered`], additionally feeding every recorded
-/// event to `sink` (when given), tagged with its core (via
-/// [`rtft_sim::sink::CoreTag`]). Cores run sequentially, so the sink
-/// sees core 0's whole run, then core 1's, and so on — chronological
-/// *within* each core, exactly like the per-core logs the merge
-/// recombines. The outcome is byte-identical to the unsunk run.
-///
-/// # Errors
-/// As [`run_partitioned`].
-///
-/// # Panics
-/// As [`run_partitioned`].
-pub fn run_partitioned_streamed(
-    sc: &Scenario,
-    session: &mut PartitionedAnalyzer,
-    bufs: &mut SimBuffers,
-    mut sink: Option<&mut dyn TraceSink>,
-) -> Result<MulticoreOutcome, HarnessError> {
     let partition = session.partition();
-    assert_eq!(
-        partition.len(),
-        sc.set.len(),
-        "run_partitioned: partition and scenario disagree on the task count"
+    assert!(
+        partition.len() == sc.set.len()
+            && sc
+                .set
+                .tasks()
+                .iter()
+                .all(|t| partition.core_of(t.id).is_some()),
+        "run_partitioned_buffered: partition and scenario disagree on the task set"
     );
-    for t in sc.set.tasks() {
-        assert!(
-            partition.core_of(t.id).is_some(),
-            "run_partitioned: task {} is not in the partition",
-            t.id
-        );
-    }
-    let occupied: Vec<usize> = partition.occupied_cores().collect();
-    let mut cores = Vec::with_capacity(occupied.len());
-    for core in occupied {
-        let csc = core_scenario(sc, session, core);
-        let mut tagged = sink.as_mut().map(|s| CoreTag::new(core, &mut **s));
-        let outcome = run_scenario_streamed(
-            &csc,
-            session.core_session_mut(core).expect("occupied core"),
-            bufs,
-            tagged.as_mut().map(|t| t as &mut dyn TraceSink),
-        )?;
-        cores.push(CoreOutcome { core, outcome });
-    }
+    let run = PlacedRun::run(session.parts_mut(), sc, bufs, None)?;
     Ok(MulticoreOutcome {
-        name: sc.name.clone(),
-        cores,
+        cores: run
+            .into_parts()
+            .into_iter()
+            .map(|(core, outcome)| CoreOutcome { core, outcome })
+            .collect(),
     })
 }
 
@@ -218,9 +118,25 @@ mod tests {
     use rtft_ft::treatment::Treatment;
     use rtft_sim::fault::FaultPlan;
     use rtft_sim::stop::StopMode;
+    use rtft_trace::merge::merge_core_traces;
 
     fn ms(v: i64) -> Duration {
         Duration::millis(v)
+    }
+
+    fn run_partitioned(
+        sc: &Scenario,
+        session: &mut PartitionedAnalyzer,
+    ) -> Result<MulticoreOutcome, HarnessError> {
+        run_partitioned_buffered(sc, session, &mut SimBuffers::new())
+    }
+
+    /// Every core's `tasks` of its outcome, across the run.
+    fn across(
+        multi: &MulticoreOutcome,
+        tasks: impl Fn(&ScenarioOutcome) -> Vec<rtft_core::task::TaskId>,
+    ) -> Vec<rtft_core::task::TaskId> {
+        multi.cores.iter().flat_map(|c| tasks(&c.outcome)).collect()
     }
 
     fn paper_set() -> TaskSet {
@@ -317,7 +233,7 @@ mod tests {
         // And the fault's damage stays on τ1's core: the paper fault
         // overloads a lone core far less than the shared one, so no
         // collateral failure exists at all here.
-        assert!(multi.collateral_failures().is_empty());
+        assert!(across(&multi, ScenarioOutcome::collateral_failures).is_empty());
     }
 
     #[test]
@@ -339,7 +255,7 @@ mod tests {
         );
         let mut session = PartitionedAnalyzer::new(p, PolicyKind::FixedPriority);
         let multi = run_partitioned(&sc, &mut session).unwrap();
-        let merged = multi.merged_events();
+        let merged = merge_core_traces(&multi.logs());
         assert_eq!(
             merged.len(),
             multi
@@ -382,8 +298,11 @@ mod tests {
         );
         let mut session = PartitionedAnalyzer::new(p, PolicyKind::FixedPriority);
         let multi = run_partitioned(&sc, &mut session).unwrap();
-        assert_eq!(multi.failed_tasks(), vec![rtft_core::task::TaskId(1)]);
-        assert!(multi.collateral_failures().is_empty());
+        assert_eq!(
+            across(&multi, |o| o.verdict.failed_tasks()),
+            vec![rtft_core::task::TaskId(1)]
+        );
+        assert!(across(&multi, ScenarioOutcome::collateral_failures).is_empty());
         let stops: usize = multi
             .cores
             .iter()

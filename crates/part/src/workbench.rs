@@ -4,24 +4,28 @@
 //! [`rtft_core::query`] defines *what* can be asked — a
 //! [`SystemSpec`] plus [`Query`] values answered by typed
 //! [`Response`]s. A `Workbench` owns *how*: it picks the backend for
-//! its spec once, on first use — a uniprocessor [`Analyzer`] session on
-//! one core, a per-core [`PartitionedAnalyzer`] over the allocator's
-//! partition on several, a shared-queue [`GlobalAnalyzer`] under
+//! its spec once, on first use — a per-core [`PartitionedAnalyzer`]
+//! over the allocator's partition (over the trivial single-core
+//! partition on one core), a shared-queue [`GlobalAnalyzer`] under
 //! `placement global`, or the allocator's rejection. From then on the
 //! placement is plain data: [`Workbench::parts_mut`] hands out its
-//! sessions as one list of `(core, &mut dyn Recipe)` parts — one on
-//! core 0 for a uniprocessor or global spec, one per occupied core for a
-//! partitioned spec, none when unplaceable — and every consumer iterates
-//! that list, so callers never branch on platform:
+//! sessions as one list of [`Part`]s — one on core 0 for a uniprocessor
+//! or global spec, one per occupied core for a partitioned spec, none
+//! when unplaceable. Each part carries its core, its session (a
+//! [`Recipe`], which also names the core count of the engine the part
+//! runs on: one, or `m` for global) and its job slice: the whole job, or
+//! the core's subset, fault slice, `@cN` label and sink tag. Every
+//! consumer iterates that list, so callers never branch on platform:
 //!
 //! - **Queries.** [`Workbench::run`] and [`Workbench::run_batch`]
 //!   answer the query plane for `rtft query`, `rtft analyze`,
 //!   `rtft serve` and the benches, with one body per query kind over
 //!   the parts.
-//! - **Runs.** [`Workbench::simulate`] runs a scenario on the runner
-//!   that matches the backend and returns one [`PlacedRun`], which
-//!   knows its trace hash, its trace capture, its per-core parts and
-//!   how to hand its logs back to [`SimBuffers`]; its parts come in
+//! - **Runs.** [`Workbench::simulate`] runs a scenario as one loop of
+//!   the run body [`run_on_cores`] over the parts and returns one
+//!   [`PlacedRun`]: the per-part outcomes plus the engine's core-tagged
+//!   split of a global run. It knows its trace hash, its trace capture
+//!   and how to hand its logs back to [`SimBuffers`]; its parts come in
 //!   the order of [`Workbench::parts_mut`], so the differential oracle
 //!   zips the two. Campaign digests, lone runs (`rtft run`), trace
 //!   captures and `POST /trace` all run jobs here, and replay resolves
@@ -68,7 +72,7 @@
 
 use crate::alloc::allocate;
 use crate::analyzer::PartitionedAnalyzer;
-use crate::multicore::{run_partitioned_streamed, MulticoreOutcome};
+use crate::multicore::core_label;
 use crate::partition::Partition;
 use rtft_core::analyzer::Analyzer;
 use rtft_core::diag::{self, Diagnostic};
@@ -78,22 +82,23 @@ use rtft_core::query::{
 };
 use rtft_core::task::TaskId;
 use rtft_core::time::Duration;
-use rtft_ft::harness::{run_scenario_streamed, HarnessError, Scenario, ScenarioOutcome};
+use rtft_ft::harness::{run_on_cores, HarnessError, Scenario, ScenarioOutcome};
 use rtft_ft::recipe::Recipe;
-use rtft_global::{run_global_streamed, GlobalAnalyzer, GlobalOutcome};
+use rtft_global::GlobalAnalyzer;
 use rtft_sim::engine::SimBuffers;
-use rtft_sim::sink::TraceSink;
+use rtft_sim::fault::FaultPlan;
+use rtft_sim::sink::{CoreTag, TraceSink};
+use rtft_trace::merge::merged_content_hash;
 use rtft_trace::{TraceCapture, TraceLog};
+use std::borrow::Cow;
 
 /// The memoized analysis state behind a [`Workbench`], built lazily on
 /// the first query.
 enum Backend {
-    /// One core: the plain uniprocessor session — bit-identical to the
-    /// pre-query-plane `Analyzer` path.
-    Uni(Box<Analyzer>),
-    /// Several cores: one session per occupied core over the
-    /// allocator's partition.
-    Multi(Box<PartitionedAnalyzer>),
+    /// One session per occupied core over the allocator's partition —
+    /// on one core, the single-core partition whose one session is the
+    /// plain uniprocessor `Analyzer`.
+    Partitioned(Box<PartitionedAnalyzer>),
     /// Several migrating cores (`placement global`): one shared-queue
     /// session over the whole set — sufficient-only bounds, no
     /// partition. Queries report every task on core 0.
@@ -129,26 +134,137 @@ impl From<HarnessError> for RunError {
     }
 }
 
-/// One scenario run on the placement its [`Workbench`] chose.
+/// One part of a placement: an analysis session, the core it runs on
+/// and the slice of a job it runs. See the [module docs](self).
+pub struct Part<'a> {
+    /// The part's core: 0 for a one-part placement.
+    pub core: usize,
+    /// The part's analysis session.
+    pub session: &'a mut dyn Recipe,
+    /// The partition the part is one core's slice of; `None` when the
+    /// part runs the whole job.
+    pub(crate) slice: Option<&'a Partition>,
+}
+
+impl Part<'_> {
+    /// Is the part one core's slice of a partitioned job (rather than
+    /// the whole job)?
+    pub fn is_slice(&self) -> bool {
+        self.slice.is_some()
+    }
+
+    /// The part's label for a job named `name`: the name itself, or the
+    /// core's `name@cN`.
+    pub fn label<'n>(&self, name: &'n str) -> Cow<'n, str> {
+        match self.slice {
+            None => Cow::Borrowed(name),
+            Some(_) => Cow::Owned(core_label(name, self.core)),
+        }
+    }
+
+    /// The part's share of `plan`: all of it, or the faults of the
+    /// core's own tasks.
+    pub fn faults<'p>(&self, plan: &'p FaultPlan) -> Cow<'p, FaultPlan> {
+        match self.slice {
+            None => Cow::Borrowed(plan),
+            Some(partition) => Cow::Owned(partition.core_faults(plan, self.core)),
+        }
+    }
+
+    /// The scenario the part runs: `sc` itself, or the core's subset,
+    /// fault slice and label with everything else inherited.
+    pub fn scenario<'s>(&self, sc: &'s Scenario) -> Cow<'s, Scenario> {
+        if self.slice.is_none() {
+            return Cow::Borrowed(sc);
+        }
+        Cow::Owned(Scenario {
+            name: self.label(&sc.name).into_owned(),
+            set: self.session.task_set().clone(),
+            faults: self.faults(&sc.faults).into_owned(),
+            ..*sc
+        })
+    }
+}
+
+/// One scenario run on the placement its [`Workbench`] chose: one
+/// outcome per part, plus the engine's core-tagged split of a global
+/// run.
 #[derive(Debug)]
-pub enum PlacedRun {
-    /// One core: the uniprocessor harness outcome.
-    Uni(ScenarioOutcome),
-    /// Partitioned cores: one uniprocessor outcome per occupied core.
-    Partitioned(MulticoreOutcome),
-    /// Global cores: the `m`-core run's merged outcome.
-    Global(GlobalOutcome),
+pub struct PlacedRun {
+    /// `(core, outcome)` per part, in the order of the parts.
+    parts: Vec<(usize, ScenarioOutcome)>,
+    /// The per-core split of an `m`-core part's trace (global
+    /// placement), platform-level events last; empty otherwise.
+    split: Vec<(usize, TraceLog)>,
+    /// Whether the parts are the core slices of a partitioned run.
+    sliced: bool,
 }
 
 impl PlacedRun {
+    /// The one per-part run loop: each part runs its slice of `sc` on
+    /// its engine cores against its session, feeding `sink` (when given)
+    /// with every event — tagged with the part's core for a core slice,
+    /// as the engine attributes it otherwise.
+    pub(crate) fn run(
+        parts: Vec<Part<'_>>,
+        sc: &Scenario,
+        bufs: &mut SimBuffers,
+        mut sink: Option<&mut dyn TraceSink>,
+    ) -> Result<PlacedRun, HarnessError> {
+        let mut run = PlacedRun {
+            parts: Vec::with_capacity(parts.len()),
+            split: Vec::new(),
+            sliced: false,
+        };
+        for part in parts {
+            let psc = part.scenario(sc);
+            let mut tag;
+            let part_sink: Option<&mut dyn TraceSink> = match sink.as_mut() {
+                Some(s) if part.is_slice() => {
+                    tag = CoreTag::new(part.core, &mut **s);
+                    Some(&mut tag)
+                }
+                Some(s) => Some(&mut **s),
+                None => None,
+            };
+            let cores = part.session.engine_cores();
+            let (outcome, split) = run_on_cores(&psc, part.session, cores, bufs, part_sink)?;
+            run.sliced |= part.is_slice();
+            run.split.extend(split);
+            run.parts.push((part.core, outcome));
+        }
+        Ok(run)
+    }
+
+    /// The per-part `(core, outcome)` pairs, in the order of the parts.
+    pub(crate) fn into_parts(self) -> Vec<(usize, ScenarioOutcome)> {
+        self.parts
+    }
+
+    /// The core-tagged logs of a run on several cores: the engine's
+    /// split of a global run, each core slice's own log otherwise.
+    fn tagged_logs(&self) -> Vec<(usize, &TraceLog)> {
+        if self.split.is_empty() {
+            self.parts.iter().map(|(c, o)| (*c, &o.log)).collect()
+        } else {
+            self.split.iter().map(|(c, l)| (*c, l)).collect()
+        }
+    }
+
+    /// Is the trace core-tagged merged (a run on several cores) rather
+    /// than flat (one core)?
+    fn merged(&self) -> bool {
+        self.sliced || !self.split.is_empty()
+    }
+
     /// The trace hash in the run's placement domain: the flat content
-    /// hash on one core, the fold of the per-core hashes under
-    /// partitioning, the merged core-tagged hash under global placement.
+    /// hash on one core, the fold of the per-core hashes of the
+    /// core-tagged logs on several.
     pub fn trace_hash(&self) -> u64 {
-        match self {
-            PlacedRun::Uni(outcome) => outcome.log.content_hash(),
-            PlacedRun::Partitioned(multi) => multi.merged_hash(),
-            PlacedRun::Global(global) => global.merged_hash,
+        if self.merged() {
+            merged_content_hash(&self.tagged_logs())
+        } else {
+            self.parts[0].1.log.content_hash()
         }
     }
 
@@ -156,35 +272,28 @@ impl PlacedRun {
     /// of [`Workbench::parts_mut`] and in its order: one for a
     /// uniprocessor or global run, one per occupied core (ascending) for
     /// a partitioned run.
-    pub fn parts(&self) -> Vec<&ScenarioOutcome> {
-        match self {
-            PlacedRun::Uni(outcome) | PlacedRun::Global(GlobalOutcome { outcome, .. }) => {
-                vec![outcome]
-            }
-            PlacedRun::Partitioned(multi) => multi.cores.iter().map(|c| &c.outcome).collect(),
-        }
+    pub fn parts(&self) -> impl Iterator<Item = &ScenarioOutcome> + '_ {
+        self.parts.iter().map(|(_, outcome)| outcome)
     }
 
-    /// Tasks that failed their verdict: rank order for a one-part run,
-    /// sorted by task id across the cores of a partitioned run.
+    /// Tasks that failed their verdict: rank order for a whole-job part,
+    /// sorted by task id across the core slices of a partitioned run.
     pub fn failed_tasks(&self) -> Vec<TaskId> {
-        match self {
-            PlacedRun::Uni(outcome) | PlacedRun::Global(GlobalOutcome { outcome, .. }) => {
-                outcome.verdict.failed_tasks()
-            }
-            PlacedRun::Partitioned(multi) => multi.failed_tasks(),
-        }
+        self.across_parts(|o| o.verdict.failed_tasks())
     }
 
     /// Non-faulty tasks that failed anyway, ordered like
     /// [`PlacedRun::failed_tasks`].
     pub fn collateral_failures(&self) -> Vec<TaskId> {
-        match self {
-            PlacedRun::Uni(outcome) | PlacedRun::Global(GlobalOutcome { outcome, .. }) => {
-                outcome.collateral_failures()
-            }
-            PlacedRun::Partitioned(multi) => multi.collateral_failures(),
+        self.across_parts(ScenarioOutcome::collateral_failures)
+    }
+
+    fn across_parts(&self, tasks: impl Fn(&ScenarioOutcome) -> Vec<TaskId>) -> Vec<TaskId> {
+        let mut out: Vec<TaskId> = self.parts().flat_map(tasks).collect();
+        if self.sliced {
+            out.sort_unstable();
         }
+        out
     }
 
     /// The importable capture of the run — flat on one core, core-tagged
@@ -195,39 +304,28 @@ impl PlacedRun {
     pub fn capture(self, spec: &SystemSpec, treatment: &str) -> TraceCapture {
         let hash = rtft_core::query::spec_hash(spec);
         let policy = spec.policy.label();
-        let merged = |logs: &[(usize, &TraceLog)]| {
-            TraceCapture::merged(
+        if self.merged() {
+            return TraceCapture::merged(
                 hash,
                 policy,
                 spec.placement.label(),
                 spec.cores,
                 treatment,
-                logs,
-            )
-        };
-        match self {
-            PlacedRun::Uni(outcome) => TraceCapture::flat(hash, policy, treatment, outcome.log),
-            PlacedRun::Partitioned(multi) => merged(&multi.logs()),
-            PlacedRun::Global(global) => {
-                let logs: Vec<(usize, &TraceLog)> =
-                    global.core_logs.iter().map(|(c, l)| (*c, l)).collect();
-                merged(&logs)
-            }
+                &self.tagged_logs(),
+            );
         }
+        let (_, outcome) = self.parts.into_iter().next().expect("a run has a part");
+        TraceCapture::flat(hash, policy, treatment, outcome.log)
     }
 
     /// Hand the run's largest trace buffer back to `bufs` for the next
     /// run.
     pub fn recycle(self, bufs: &mut SimBuffers) {
-        let log = match self {
-            PlacedRun::Uni(outcome) => Some(outcome.log),
-            PlacedRun::Partitioned(multi) => multi
-                .cores
-                .into_iter()
-                .map(|c| c.outcome.log)
-                .max_by_key(TraceLog::len),
-            PlacedRun::Global(global) => Some(global.outcome.log),
-        };
+        let log = self
+            .parts
+            .into_iter()
+            .map(|(_, outcome)| outcome.log)
+            .max_by_key(TraceLog::len);
         if let Some(log) = log {
             bufs.recycle_log(log);
         }
@@ -270,29 +368,24 @@ impl Workbench {
 
     fn ensure(&mut self) -> &mut Backend {
         self.backend.get_or_insert_with(|| {
-            if self.spec.cores <= 1 {
-                return Backend::Uni(Box::new(Analyzer::for_policy(
-                    &self.spec.set,
-                    self.spec.policy,
+            let spec = &self.spec;
+            if spec.cores <= 1 {
+                return Backend::Partitioned(Box::new(PartitionedAnalyzer::new(
+                    Partition::single_core(&spec.set),
+                    spec.policy,
                 )));
             }
-            if self.spec.placement == Placement::Global {
+            if spec.placement == Placement::Global {
                 return Backend::Global(Box::new(GlobalAnalyzer::new(
-                    self.spec.set.clone(),
-                    self.spec.cores,
-                    self.spec.policy,
+                    spec.set.clone(),
+                    spec.cores,
+                    spec.policy,
                 )));
             }
-            match allocate(
-                &self.spec.set,
-                self.spec.cores,
-                self.spec.policy,
-                self.spec.alloc,
-            ) {
-                Ok(partition) => Backend::Multi(Box::new(PartitionedAnalyzer::new(
-                    partition,
-                    self.spec.policy,
-                ))),
+            match allocate(&spec.set, spec.cores, spec.policy, spec.alloc) {
+                Ok(partition) => {
+                    Backend::Partitioned(Box::new(PartitionedAnalyzer::new(partition, spec.policy)))
+                }
                 Err(e) => Backend::Unplaceable(e.to_string()),
             }
         })
@@ -302,16 +395,16 @@ impl Workbench {
     /// spec) — the exact session the scenario harness consumes.
     pub fn uni_session_mut(&mut self) -> Option<&mut Analyzer> {
         match self.ensure() {
-            Backend::Uni(a) => Some(a),
+            Backend::Partitioned(pa) if pa.partition().cores() == 1 => pa.core_session_mut(0),
             _ => None,
         }
     }
 
-    /// The per-core sessions (`None` on a uniprocessor or unplaceable
-    /// spec).
+    /// The per-core sessions (`None` on a global or unplaceable spec;
+    /// a uniprocessor spec's is the single-core partition's).
     pub fn partitioned_mut(&mut self) -> Option<&mut PartitionedAnalyzer> {
         match self.ensure() {
-            Backend::Multi(pa) => Some(pa),
+            Backend::Partitioned(pa) => Some(pa),
             _ => None,
         }
     }
@@ -326,12 +419,10 @@ impl Workbench {
         }
     }
 
-    /// The partition behind a multicore spec (`None` otherwise).
+    /// The partition behind a partitioned spec — the single-core one on
+    /// one core (`None` for a global or unplaceable spec).
     pub fn partition(&mut self) -> Option<&Partition> {
-        match self.ensure() {
-            Backend::Multi(pa) => Some(pa.partition()),
-            _ => None,
-        }
+        self.partitioned_mut().map(|pa| pa.partition())
     }
 
     /// The allocator's rejection diagnostics, when the spec is
@@ -343,15 +434,15 @@ impl Workbench {
         }
     }
 
-    /// Run `sc` on the runner that matches this spec's placement — the
-    /// uniprocessor harness, the partitioned runner or the global
-    /// runner, each against this workbench's memoized sessions —
-    /// feeding every recorded event to `sink` when given. The lint is
-    /// not consulted: a caller that gates on it does so first.
+    /// Run `sc` on this spec's placement: one call of the run body per
+    /// [part](Self::parts_mut), each against the part's memoized
+    /// session, feeding every recorded event to `sink` when given. The
+    /// lint is not consulted: a caller that gates on it does so first.
     ///
     /// # Errors
     /// [`RunError::Unplaceable`] with the allocator's diagnostics, or
-    /// the runner's [`HarnessError`] (infeasible base, failed analysis).
+    /// the first part's [`HarnessError`] (infeasible base, failed
+    /// analysis).
     ///
     /// # Panics
     /// Panics if `sc` runs a different task set or policy than the spec.
@@ -361,31 +452,28 @@ impl Workbench {
         bufs: &mut SimBuffers,
         sink: Option<&mut dyn TraceSink>,
     ) -> Result<PlacedRun, RunError> {
-        Ok(match self.ensure() {
-            Backend::Uni(session) => {
-                PlacedRun::Uni(run_scenario_streamed(sc, session, bufs, sink)?)
-            }
-            Backend::Multi(pa) => {
-                PlacedRun::Partitioned(run_partitioned_streamed(sc, pa, bufs, sink)?)
-            }
-            Backend::Global(ga) => PlacedRun::Global(run_global_streamed(sc, ga, bufs, sink)?),
-            Backend::Unplaceable(diag) => return Err(RunError::Unplaceable(diag.clone())),
-        })
+        assert!(
+            sc.set == self.spec.set && sc.policy == self.spec.policy,
+            "simulate: scenario and spec disagree on the task set or policy"
+        );
+        if let Some(diag) = self.unplaceable() {
+            return Err(RunError::Unplaceable(diag.to_string()));
+        }
+        Ok(PlacedRun::run(self.parts_mut(), sc, bufs, sink)?)
     }
 
-    /// The analysis sessions of the placement, one part each, as the
-    /// [`Recipe`]s every consumer asks: one part on core 0 for a
-    /// uniprocessor or global spec, one per occupied core (ascending)
-    /// for a partitioned spec, none when the spec is unplaceable — the
-    /// order of [`PlacedRun::parts`].
-    pub fn parts_mut(&mut self) -> Vec<(usize, &mut dyn Recipe)> {
+    /// The analysis sessions of the placement, one [`Part`] each: one
+    /// part on core 0 for a uniprocessor or global spec, one per
+    /// occupied core (ascending) for a partitioned spec, none when the
+    /// spec is unplaceable — the order of [`PlacedRun::parts`].
+    pub fn parts_mut(&mut self) -> Vec<Part<'_>> {
         match self.ensure() {
-            Backend::Uni(session) => vec![(0, &mut **session as &mut dyn Recipe)],
-            Backend::Global(session) => vec![(0, &mut **session as &mut dyn Recipe)],
-            Backend::Multi(pa) => pa
-                .sessions_mut()
-                .map(|(core, session)| (core, session as &mut dyn Recipe))
-                .collect(),
+            Backend::Partitioned(pa) => pa.parts_mut(),
+            Backend::Global(session) => vec![Part {
+                core: 0,
+                session: &mut **session,
+                slice: None,
+            }],
             Backend::Unplaceable(_) => Vec::new(),
         }
     }
@@ -419,11 +507,11 @@ impl Workbench {
         let mut parts = self.parts_mut();
         Ok(match query {
             Query::Feasibility => {
-                let overloaded = parts.iter_mut().any(|(_, part)| part.overloaded());
+                let overloaded = parts.iter_mut().any(|part| part.session.overloaded());
                 // Admission stops at the first part that refuses.
                 let mut feasible = !overloaded;
-                for (_, part) in &mut parts {
-                    feasible = feasible && part.admits()?;
+                for part in &mut parts {
+                    feasible = feasible && part.session.admits()?;
                 }
                 Response::Feasibility {
                     feasible,
@@ -435,14 +523,14 @@ impl Workbench {
             Query::Thresholds => Response::Thresholds(rows(parts, |part| part.threshold_rows())?),
             Query::EquitableAllowance => {
                 let mut cores = Vec::with_capacity(parts.len());
-                for (core, part) in parts {
-                    let (allowance, stops) = part
+                for Part { core, session, .. } in parts {
+                    let (allowance, stops) = session
                         .equitable()?
                         .map_or((None, Vec::new()), |(a, s)| (Some(a), s));
                     let stop_thresholds = stops
                         .into_iter()
                         .enumerate()
-                        .map(|(rank, stop)| row(part, core, rank, Some(stop)))
+                        .map(|(rank, stop)| row(session, core, rank, Some(stop)))
                         .collect();
                     cores.push(CoreAllowance {
                         core,
@@ -457,23 +545,23 @@ impl Workbench {
                 per_task: rows(parts, |part| part.system_allowance_rows(*policy))?,
             },
             Query::MaxSingleOverrun(id) => {
-                let (core, part, rank) = parts
+                let (part, rank) = parts
                     .into_iter()
-                    .find_map(|(core, part)| {
-                        let rank = part.task_set().rank_of(*id)?;
-                        Some((core, part, rank))
+                    .find_map(|part| {
+                        let rank = part.session.task_set().rank_of(*id)?;
+                        Some((part, rank))
                     })
                     .unwrap_or_else(|| panic!("overrun query names task {id:?} not in the set"));
-                let value = part.protect_all_overrun(rank)?;
-                Response::MaxSingleOverrun(row(part, core, rank, value))
+                let value = part.session.protect_all_overrun(rank)?;
+                Response::MaxSingleOverrun(row(part.session, part.core, rank, value))
             }
             Query::Sensitivity => Response::Sensitivity(
                 parts
                     .into_iter()
-                    .map(|(core, part)| {
+                    .map(|part| {
                         Ok(CoreScale {
-                            core,
-                            factor: part.scaling_margin()?,
+                            core: part.core,
+                            factor: part.session.scaling_margin()?,
                         })
                     })
                     .collect::<Result<_, AnalysisError>>()?,
@@ -505,17 +593,17 @@ impl Workbench {
 
 /// Every part's per-rank `values` as [`TaskValue`] rows, parts in order.
 fn rows(
-    parts: Vec<(usize, &mut dyn Recipe)>,
+    parts: Vec<Part<'_>>,
     mut values: impl FnMut(&mut dyn Recipe) -> Result<Vec<Option<Duration>>, AnalysisError>,
 ) -> Result<Vec<TaskValue>, AnalysisError> {
     let mut out = Vec::new();
-    for (core, part) in parts {
-        let part_values = values(&mut *part)?;
+    for Part { core, session, .. } in parts {
+        let part_values = values(&mut *session)?;
         out.extend(
             part_values
                 .into_iter()
                 .enumerate()
-                .map(|(rank, value)| row(part, core, rank, value)),
+                .map(|(rank, value)| row(session, core, rank, value)),
         );
     }
     Ok(out)

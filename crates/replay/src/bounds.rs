@@ -111,18 +111,14 @@ pub fn resolve_bounds(job: &JobSpec) -> Result<ReplayBounds, ReplayError> {
         return Err(ReplayError::Analysis(diag.to_string()));
     }
     let dmax = job.faults.max_overrun();
-    // Each partitioned core is certified at its own fault slice; the
-    // one part of any other placement at the job's.
-    let core_dmax: Vec<Duration> = bench.partition().map_or_else(Vec::new, |p| {
-        (0..p.cores())
-            .map(|core| p.core_faults(&job.faults, core).max_overrun())
-            .collect()
-    });
     let mut per_task = BTreeMap::new();
     let mut skip = None;
-    for (core, part) in bench.parts_mut() {
-        let part_dmax = core_dmax.get(core).copied().unwrap_or(dmax);
-        let part_skip = task_bounds(part, job, part_dmax, &mut per_task)?;
+    for part in bench.parts_mut() {
+        // Each part is certified at its own fault slice: a partitioned
+        // core at its tasks' faults, the one part of any other
+        // placement at the job's.
+        let part_dmax = part.faults(&job.faults).max_overrun();
+        let part_skip = task_bounds(part.session, job, part_dmax, &mut per_task)?;
         // The job-wide face is the first uncertified part's.
         skip = skip.or(part_skip);
     }

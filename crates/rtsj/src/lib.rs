@@ -17,17 +17,16 @@
 //!   installation, simulated execution, results folded back into the
 //!   thread objects;
 //! * [`timer`] — `AsyncEvent` / `PeriodicTimer` / `OneShotTimer`,
-//!   including jRate's quantization;
-//! * [`memory`] — the `ImmortalMemory` / `ScopedMemory` region model with
-//!   single-parent and assignment rules (a concept port: Rust's ownership
-//!   replaces `NoHeapRealtimeThread` GC isolation — see DESIGN.md §6).
+//!   including jRate's quantization.
+//!
+//! The RTSJ memory-area classes and `NoHeapRealtimeThread` are not
+//! modelled: they exist to keep handlers clear of the garbage
+//! collector, and this port has no collector.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod memory;
-pub mod noheap;
 pub mod params;
 pub mod runtime;
 pub mod scheduler;
@@ -36,8 +35,6 @@ pub mod timer;
 
 /// One-stop imports.
 pub mod prelude {
-    pub use crate::memory::{AreaKind, MemoryError, MemoryModel, ScopeStack};
-    pub use crate::noheap::{NoHeapError, NoHeapRealtimeThread};
     pub use crate::params::{ImportanceParameters, PeriodicParameters, PriorityParameters};
     pub use crate::runtime::{RtsjRuntime, RunReport, ThreadHandle};
     pub use crate::scheduler::{PriorityScheduler, SchedulerError};

@@ -8,6 +8,7 @@ use rtft_core::query::{
 };
 use rtft_part::workbench::Workbench;
 use rtft_serve::{Client, ServeConfig, Server};
+use std::collections::BTreeMap;
 
 /// A daemon on an ephemeral port with small, test-friendly limits.
 fn spawn(cfg_tweak: impl FnOnce(&mut ServeConfig)) -> (rtft_serve::ServerHandle, Client) {
@@ -303,45 +304,89 @@ platform jrate
 #[test]
 fn trace_route_streams_a_run_that_reassembles_into_a_valid_capture() {
     let (handle, client) = spawn(|_| {});
-    let reply = client.post_trace(ONE_JOB_SPEC).expect("trace");
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    assert!(
-        reply.body.starts_with("# rtft trace stream\n"),
-        "{}",
-        reply.body
-    );
-    // The content hash folds over the events, so it arrives as the
-    // stream's trailer; moving that one line up into the header slot
-    // must yield an importable, hash-consistent capture.
-    let trailer = reply.body.lines().last().expect("stream has a trailer");
-    assert!(trailer.starts_with("# content-hash "), "{}", reply.body);
-    let mut text = String::from("# rtft trace v2\n");
-    for line in reply.body.lines().skip(1) {
-        if line.starts_with("# content-hash") || !line.starts_with('#') {
+    // One core, two partitioned cores, two global cores.
+    for cores in ["cores 1\n", "cores 2\n", "cores 2\nplacement global\n"] {
+        let spec = ONE_JOB_SPEC.replace("cores 1\n", cores);
+        let reply = client.post_trace(&spec).expect("trace");
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        assert!(
+            reply.body.starts_with("# rtft trace stream\n"),
+            "{}",
+            reply.body
+        );
+        let trailer = reply.body.lines().last().expect("stream has a trailer");
+        assert!(trailer.starts_with("# content-hash "), "{}", reply.body);
+        let job = &rtft_campaign::parse_spec(&spec).unwrap().expand().unwrap()[0];
+        let buffered = rtft_campaign::capture_job(job).unwrap();
+        let header = buffered.header.as_ref().expect("captures carry a header");
+        assert_eq!(
+            trailer,
+            format!("# content-hash {:016x}", header.content_hash),
+            "{cores}"
+        );
+        // Group the streamed event lines by their `cN` tag (untagged
+        // lines are global platform events, or every event on one core):
+        // each group is the matching per-core log of the buffered capture.
+        let mut streamed: BTreeMap<Option<usize>, Vec<&str>> = BTreeMap::new();
+        for line in reply.body.lines().filter(|l| !l.starts_with('#')) {
+            let (core, event) = match line.split_once(' ') {
+                Some((tag, event)) if tag.starts_with('c') => {
+                    (Some(tag[1..].parse::<usize>().expect("core tag")), event)
+                }
+                _ => (None, line),
+            };
+            streamed.entry(core).or_default().push(event);
+        }
+        let expected: BTreeMap<Option<usize>, Vec<String>> = buffered
+            .core_logs()
+            .into_iter()
+            .map(|(core, log)| {
+                // The trailing platform log of a global run is untagged.
+                let key = (job.cores > 1 && core < job.cores).then_some(core);
+                let lines = log
+                    .events()
+                    .iter()
+                    .map(|e| rtft_trace::format::event_line(e).trim_end().to_string())
+                    .collect();
+                (key, lines)
+            })
+            .collect();
+        assert_eq!(
+            streamed.keys().collect::<Vec<_>>(),
+            expected.keys().collect::<Vec<_>>(),
+            "{cores}"
+        );
+        for (core, lines) in &expected {
+            assert_eq!(&streamed[core], lines, "{cores}: core {core:?}");
+        }
+        if job.cores > 1 {
             continue;
         }
-        text.push_str(line);
+        // One core streams untagged lines in trace order: moving the
+        // trailer up into the header slot must yield an importable,
+        // hash-consistent capture.
+        let mut text = String::from("# rtft trace v2\n");
+        for line in reply.body.lines().skip(1) {
+            if line.starts_with("# content-hash") || !line.starts_with('#') {
+                continue;
+            }
+            text.push_str(line);
+            text.push('\n');
+        }
+        text.push_str(trailer);
         text.push('\n');
+        for line in reply.body.lines().filter(|l| !l.starts_with('#')) {
+            text.push_str(line);
+            text.push('\n');
+        }
+        let capture =
+            rtft_trace::TraceCapture::parse_text(&text).expect("reassembled capture parses");
+        assert_eq!(capture.hash_matches(), Some(true));
+        assert!(!capture.is_empty());
+        // Byte-identical to the buffered capture of the same job: the
+        // sink observes the run, it does not perturb it.
+        assert_eq!(capture.render_text(), buffered.render_text());
     }
-    text.push_str(trailer);
-    text.push('\n');
-    for line in reply.body.lines().filter(|l| !l.starts_with('#')) {
-        text.push_str(line);
-        text.push('\n');
-    }
-    let capture = rtft_trace::TraceCapture::parse_text(&text).expect("reassembled capture parses");
-    assert_eq!(capture.hash_matches(), Some(true));
-    assert!(!capture.is_empty());
-    // Byte-identical to the buffered capture of the same job: the sink
-    // observes the run, it does not perturb it.
-    let job = &rtft_campaign::parse_spec(ONE_JOB_SPEC)
-        .unwrap()
-        .expand()
-        .unwrap()[0];
-    assert_eq!(
-        capture.render_text(),
-        rtft_campaign::capture_job(job).unwrap().render_text()
-    );
     handle.shutdown();
 }
 

@@ -50,7 +50,8 @@ pub fn table2() -> TaskSet {
 /// of task τ1, which coincides with the activation of a job of τ2 and
 /// τ3"). With τ3 strictly periodic from 0 (T = 1500 ms) no such
 /// coincidence exists; the figures imply a release offset, reproduced
-/// here. See DESIGN.md §2.
+/// here. The offset changes no analysis number: the WCRTs and allowances
+/// of Table 2 assume the synchronous worst case either way.
 pub fn table2_figure_window() -> TaskSet {
     let base = table2();
     let mut tau3 = base.by_id(TaskId(3)).expect("τ3 exists").clone();

@@ -636,24 +636,10 @@ impl TraceCapture {
     }
 }
 
+/// A quoted JSON string literal, escaped by the workspace's one table
+/// ([`rtft_core::query::json_escape`]).
 fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", rtft_core::query::json_escape(s))
 }
 
 /// A minimal recursive-descent JSON reader — just enough for the

@@ -2,8 +2,9 @@
 //!
 //! 1. Generate a workload with total utilization past one core
 //!    (UUniFast-discard, U = 2.2 over 10 tasks);
-//! 2. partition it over 4 cores with worst-fit decreasing, every
-//!    placement validated by a per-core feasibility probe;
+//! 2. place it on a `Workbench` that partitions it over 4 cores with
+//!    worst-fit decreasing, every placement validated by a per-core
+//!    feasibility probe;
 //! 3. inspect the per-core analysis (WCRTs, equitable allowances);
 //! 4. execute it — one engine per core — with a fault injected, and
 //!    check the damage stays on the faulty task's core.
@@ -12,9 +13,10 @@
 //! cargo run --example multicore_partition
 //! ```
 
-use rtft::part::{allocate, AllocPolicy, PartitionedAnalyzer};
+use rtft::part::{AllocPolicy, Workbench};
 use rtft::prelude::*;
-use rtft_core::policy::PolicyKind;
+use rtft::sim::engine::SimBuffers;
+use rtft_core::query::SystemSpec;
 use rtft_core::time::{Duration, Instant};
 
 fn main() {
@@ -27,17 +29,17 @@ fn main() {
     );
 
     // 2. Partition over 4 cores (worst-fit decreasing balances load).
-    let partition = allocate(
-        &set,
-        4,
-        PolicyKind::FixedPriority,
-        AllocPolicy::WorstFitDecreasing,
-    )
-    .expect("the workload fits four cores");
+    let spec = SystemSpec::uniprocessor("multicore-demo", set.clone())
+        .with_cores(4, AllocPolicy::WorstFitDecreasing);
+    let mut bench = Workbench::new(spec);
+    let partition = bench
+        .partition()
+        .expect("the workload fits four cores")
+        .clone();
     print!("{}", partition.render());
 
     // 3. Per-core analysis: one memoized session per core.
-    let mut sessions = PartitionedAnalyzer::new(partition.clone(), PolicyKind::FixedPriority);
+    let sessions = bench.partitioned_mut().expect("a partitioned spec");
     for (core, session) in sessions.sessions_mut() {
         assert!(session.is_feasible().expect("analysis converges"));
         let allowance = session
@@ -61,22 +63,23 @@ fn main() {
         },
         Instant::from_millis(2000),
     );
-    let outcome =
-        rtft::part::run_partitioned(&scenario, &mut sessions).expect("feasible partition runs");
+    let run = bench
+        .simulate(&scenario, &mut SimBuffers::new(), None)
+        .expect("feasible partition runs");
     println!(
-        "\nran {} cores, {} merged events, merged hash {:016x}",
-        outcome.cores.len(),
-        outcome.merged_events().len(),
-        outcome.merged_hash()
+        "\nran {} cores, {} events, merged hash {:016x}",
+        run.parts().count(),
+        run.parts().map(|outcome| outcome.log.len()).sum::<usize>(),
+        run.trace_hash()
     );
     println!(
         "fault injected on {} (core {}); collateral failures: {:?}",
         faulty,
         partition.core_of(faulty).expect("assigned"),
-        outcome.collateral_failures()
+        run.collateral_failures()
     );
     assert!(
-        outcome.collateral_failures().is_empty(),
+        run.collateral_failures().is_empty(),
         "partitioned isolation plus the stop treatment confine the fault"
     );
     println!("damage confined to the faulty task's core.");

@@ -851,52 +851,52 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
         Some(c) => parse_duration(c)?,
         None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
     };
-    match &run {
-        // One outcome over the whole set (on a global run, jobs may
-        // overlap in time: that's `m` cores executing in parallel).
-        PlacedRun::Uni(out)
-        | PlacedRun::Global(rtft_global::GlobalOutcome { outcome: out, .. }) => {
-            println!("{}", out.chart(&set, from, to, cell));
-            println!("{}", out.verdict);
-            if let PlacedRun::Global(global) = &run {
-                println!(
-                    "global over {cores} migrating cores: merged hash {:016x}",
-                    global.merged_hash
-                );
-            }
-            if !out.injected_faulty.is_empty() {
-                println!(
-                    "injected faults on {:?}; collateral failures: {:?}",
-                    out.injected_faulty,
-                    out.collateral_failures()
-                );
-            }
-            if let Some(file) = flag_value(args, "--svg") {
-                let cfg = rtft::trace::SvgConfig::window(from, to);
-                std::fs::write(file, rtft::trace::render_svg(&out.log, &set, &cfg))
-                    .map_err(|e| format!("write {file}: {e}"))?;
-                println!("SVG chart written to {file}");
-            }
+    // One chart per part: the whole set (on a global run, jobs may
+    // overlap in time: that's `m` cores executing in parallel), or each
+    // core's slice under its own header.
+    let mut sliced = false;
+    for (outcome, part) in run.parts().zip(bench.parts_mut()) {
+        if part.is_slice() {
+            sliced = true;
+            println!("== core {} ==", part.core);
         }
-        PlacedRun::Partitioned(multi) => {
-            let partition = bench.partition().expect("partitioned run");
-            for core in &multi.cores {
-                println!("== core {} ==", core.core);
-                let core_set = partition.core_set(core.core).expect("occupied core");
-                println!("{}", core.outcome.chart(core_set, from, to, cell));
-                println!("{}", core.outcome.verdict);
-            }
+        println!("{}", outcome.chart(part.session.task_set(), from, to, cell));
+        println!("{}", outcome.verdict);
+    }
+    if sliced {
+        println!(
+            "partitioned over {cores} cores ({alloc}): merged hash {:016x}",
+            run.trace_hash()
+        );
+        println!("collateral failures: {:?}", run.collateral_failures());
+    } else {
+        if cores > 1 {
             println!(
-                "partitioned over {cores} cores ({alloc}): merged hash {:016x}",
+                "global over {cores} migrating cores: merged hash {:016x}",
                 run.trace_hash()
             );
-            println!("collateral failures: {:?}", run.collateral_failures());
+        }
+        let injected = job.faults.overrun_tasks();
+        if !injected.is_empty() {
+            println!(
+                "injected faults on {injected:?}; collateral failures: {:?}",
+                run.collateral_failures()
+            );
         }
     }
+    if let Some(file) = flag_value(args, "--svg") {
+        // One core (`--svg` refuses more): the run's one part.
+        let log = &run.parts().next().expect("a run has a part").log;
+        let cfg = rtft::trace::SvgConfig::window(from, to);
+        std::fs::write(file, rtft::trace::render_svg(log, &set, &cfg))
+            .map_err(|e| format!("write {file}: {e}"))?;
+        println!("SVG chart written to {file}");
+    }
     if let Some(file) = flag_value(args, "--save-trace") {
-        let saved = match run {
-            PlacedRun::Uni(_) => "trace",
-            _ => "core-tagged trace",
+        let saved = if cores > 1 {
+            "core-tagged trace"
+        } else {
+            "trace"
         };
         let capture = run.capture(
             bench.spec(),

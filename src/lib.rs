@@ -14,7 +14,7 @@
 //! | [`sim`] | deterministic discrete-event simulator on `m ≥ 1` cores (the paper's uniprocessor FPPS platform is the one-core case) with jRate timer quantization and polled-stop models |
 //! | [`ft`] | detectors, the five paper treatments, scenario harness, dynamic-admission and under-run extensions |
 //! | [`part`] | partitioned multiprocessor scheduling: bin-packing allocators with per-core feasibility probes, per-core analysis sessions, multicore partitioned execution |
-//! | [`rtsj`] | RTSJ-shaped API (`RealtimeThreadExtended`, `PriorityScheduler`, timers, scoped-memory model) |
+//! | [`rtsj`] | RTSJ-shaped API (`RealtimeThreadExtended`, `PriorityScheduler`, timers) |
 //! | [`trace`] | trace log, file format, statistics, time-series charts |
 //! | [`taskgen`] | the paper's example systems, a task-file parser, UUniFast generators |
 //! | [`campaign`] | parallel scenario-campaign engine with a differential sim-vs-analysis oracle |

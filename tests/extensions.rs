@@ -135,34 +135,6 @@ fn polling_server_hosts_aperiodics_next_to_paper_system() {
 }
 
 #[test]
-fn scoped_memory_rules_hold_during_detector_style_nesting() {
-    use rtft::rtsj::memory::{MemoryModel, ScopeStack};
-    // A detector handler entering a per-release scope beneath a mission
-    // scope: inner allocations die per release, references only point
-    // outward.
-    let mut model = MemoryModel::new();
-    let mission = model.new_scoped(1024);
-    let per_release = model.new_scoped(128);
-    let immortal = model.immortal();
-    let mut stack = ScopeStack::new(&mut model);
-    stack.enter(mission).unwrap();
-    stack.allocate(512).unwrap();
-    for _ in 0..10 {
-        stack.enter(per_release).unwrap();
-        stack.allocate(100).unwrap();
-        // The release record may point at mission state and immortal
-        // config, never the other way.
-        stack.check_assignment(per_release, mission).unwrap();
-        stack.check_assignment(per_release, immortal).unwrap();
-        assert!(stack.check_assignment(mission, per_release).is_err());
-        stack.exit(per_release).unwrap();
-    }
-    // All ten iterations fitted the 128-byte region: it is reclaimed on
-    // every exit, exactly the RTSJ contract.
-    stack.exit(mission).unwrap();
-}
-
-#[test]
 fn rtsj_runtime_end_to_end_with_all_treatments() {
     use rtft::rtsj::prelude::*;
     for treatment in Treatment::paper_lineup() {
