@@ -296,16 +296,17 @@ fn tally(digest: &mut JobDigest, part: &JobSpec, outcome: &ScenarioOutcome) {
         .log
         .count(|e| matches!(e.kind, EventKind::DetectorRelease { .. }));
     // Detection latency: how far past `release + threshold` the flag
-    // landed (the timer-quantization delay the paper measures).
+    // landed (the timer-quantization delay the paper measures). The
+    // release comes from the stats' job records, a binary search, not a
+    // scan of the log per flagged fault.
     if !outcome.analysis.thresholds.is_empty() {
         for (task, flagged_job, at) in outcome.log.faults() {
-            let (Some(rank), Some(release)) = (
-                part.set.rank_of(task),
-                outcome.log.job_release(task, flagged_job),
-            ) else {
+            let (Some(rank), Some(record)) =
+                (part.set.rank_of(task), outcome.stats.job(task, flagged_job))
+            else {
                 continue;
             };
-            let lag = at - (release + outcome.analysis.thresholds[rank]);
+            let lag = at - (record.release + outcome.analysis.thresholds[rank]);
             if !lag.is_negative() {
                 digest.detector_latencies.push(lag);
             }
@@ -495,6 +496,55 @@ platform jrate
         assert_eq!(outcomes[0].log, direct.log);
         assert_eq!(single.run.trace_hash(), direct.log.content_hash());
         assert!(!single.oracle.was_checked(), "40 ms is out of allowance");
+    }
+
+    /// `tally` reads each flagged job's release from the stats' job
+    /// records; the log scan it replaced must give the same latencies,
+    /// part by part, on every placement of a fault-heavy grid.
+    #[test]
+    fn detector_latencies_match_a_release_scan_of_the_log() {
+        let spec = parse_spec(
+            "campaign many-faults
+horizon 1000ms
+taskgen uunifast n=5 u=0.6 seeds=0..8 periods=10ms..100ms
+policy fp edf npfp
+cores 1 2
+placement all
+faults random p=0.5 mag=1ms..8ms jobs=100 seeds=0..1
+treatment detect equitable system
+platform jrate
+",
+        )
+        .unwrap();
+        let mut compared = 0;
+        for job in spec.expand().unwrap() {
+            let Ok(mut single) = run_single(&job, false) else {
+                continue;
+            };
+            for (outcome, part) in single.run.parts().zip(single.bench.parts_mut()) {
+                let part_job = part_job(&job, &part);
+                let mut digest = empty_digest(&job, JobStatus::Ran);
+                tally(&mut digest, &part_job, outcome);
+                let mut scanned = Vec::new();
+                if !outcome.analysis.thresholds.is_empty() {
+                    for (task, flagged, at) in outcome.log.faults() {
+                        let (Some(rank), Some(release)) = (
+                            part_job.set.rank_of(task),
+                            outcome.log.job_release(task, flagged),
+                        ) else {
+                            continue;
+                        };
+                        let lag = at - (release + outcome.analysis.thresholds[rank]);
+                        if !lag.is_negative() {
+                            scanned.push(lag);
+                        }
+                    }
+                }
+                assert_eq!(digest.detector_latencies, scanned, "job {}", job.index);
+                compared += scanned.len();
+            }
+        }
+        assert!(compared > 5000, "only {compared} latencies compared");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::oracle::{OracleOutcome, OracleSkip, OracleViolation};
 use rtft_core::diag::{self, Diagnostic};
+use rtft_core::fnv::Fnv1a;
 use rtft_core::task::TaskId;
 use rtft_core::time::Duration;
 use rtft_trace::stats::DurationHistogram;
@@ -224,35 +225,29 @@ impl CampaignReport {
     /// spec and seeds yield the same digest **regardless of worker
     /// count**. Wall-clock fields are excluded.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for b in bytes {
-                h ^= u64::from(*b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        eat(self.name.as_bytes());
+        let mut h = Fnv1a::new();
+        h.bytes(self.name.as_bytes());
         for d in &self.jobs {
-            eat(&d.index.to_le_bytes());
-            eat(&d.trace_hash.to_le_bytes());
-            eat(d.set_label.as_bytes());
-            eat(d.policy.as_bytes());
-            eat(&(d.cores as u64).to_le_bytes());
-            eat(d.alloc.as_bytes());
-            eat(d.fault_label.as_bytes());
-            eat(d.treatment.as_bytes());
-            eat(d.platform.as_bytes());
-            eat(format!("{:?}", d.status).as_bytes());
-            eat(&(d.released as u64).to_le_bytes());
-            eat(&(d.completed as u64).to_le_bytes());
-            eat(&(d.missed as u64).to_le_bytes());
-            eat(&(d.stopped as u64).to_le_bytes());
-            eat(&(d.faults_flagged as u64).to_le_bytes());
-            eat(&(d.detector_fires as u64).to_le_bytes());
-            eat(format!("{:?}", d.failed_tasks).as_bytes());
-            eat(format!("{:?}", d.oracle).as_bytes());
+            h.word(d.index as u64);
+            h.word(d.trace_hash);
+            h.bytes(d.set_label.as_bytes());
+            h.bytes(d.policy.as_bytes());
+            h.word(d.cores as u64);
+            h.bytes(d.alloc.as_bytes());
+            h.bytes(d.fault_label.as_bytes());
+            h.bytes(d.treatment.as_bytes());
+            h.bytes(d.platform.as_bytes());
+            let _ = write!(h, "{:?}", d.status);
+            h.word(d.released as u64);
+            h.word(d.completed as u64);
+            h.word(d.missed as u64);
+            h.word(d.stopped as u64);
+            h.word(d.faults_flagged as u64);
+            h.word(d.detector_fires as u64);
+            let _ = write!(h, "{:?}", d.failed_tasks);
+            let _ = write!(h, "{:?}", d.oracle);
         }
-        h
+        h.finish()
     }
 
     /// Render the human-readable report.

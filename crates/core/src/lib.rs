@@ -98,6 +98,7 @@ pub mod diag;
 pub mod edf;
 pub mod error;
 pub mod feasibility;
+pub mod fnv;
 pub mod jitter;
 pub mod policy;
 pub mod priority;

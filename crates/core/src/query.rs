@@ -69,6 +69,7 @@
 //! ```
 
 use crate::allowance::SlackPolicy;
+use crate::fnv::Fnv1a;
 use crate::policy::PolicyKind;
 use crate::task::{TaskBuilder, TaskId, TaskSet, TaskSpec};
 use crate::time::Duration;
@@ -465,12 +466,9 @@ pub fn spec_hash(spec: &SystemSpec) -> u64 {
     let mut text = spec.name.clone();
     text.push('\0');
     spec.render_lines(&mut text);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
+    let mut h = Fnv1a::new();
+    h.bytes(text.as_bytes());
+    h.finish()
 }
 
 /// An analytical question about a [`SystemSpec`]. Every variant maps to

@@ -36,8 +36,9 @@
 
 use crate::event::{EventKind, TraceEvent};
 use crate::format::{self, ParseError};
-use crate::log::TraceLog;
-use crate::merge::{merge_core_traces, merged_content_hash, CoreEvent};
+use crate::log::{hash_event, TraceLog};
+use crate::merge::{fold_core_hashes, merge_core_traces, CoreEvent};
+use rtft_core::fnv::Fnv1a;
 use rtft_core::query::parse_cores;
 use rtft_core::task::TaskId;
 use rtft_core::time::{Duration, Instant};
@@ -63,8 +64,8 @@ pub struct TraceHeader {
     /// `system`).
     pub treatment: String,
     /// Content hash of the events: [`TraceLog::content_hash`] for a
-    /// flat capture, [`merged_content_hash`] over the per-core logs for
-    /// a multicore one.
+    /// flat capture, [`crate::merge::merged_content_hash`] over the
+    /// per-core logs for a multicore one.
     pub content_hash: u64,
 }
 
@@ -89,31 +90,31 @@ pub struct TraceCapture {
     pub body: CaptureBody,
 }
 
-/// Group a merged stream back into per-core logs (distinct cores,
-/// ascending) and fold them with [`merged_content_hash`]. Both the
-/// capture constructors and [`TraceCapture::recomputed_hash`] go
-/// through here, so a freshly built capture's stored hash always
-/// matches its recomputed one (inputs that contributed no events drop
-/// out of both sides identically).
+/// [`crate::merge::merged_content_hash`] of the per-core logs a merged
+/// stream groups back into (distinct cores, ascending), in one pass:
+/// each core's events feed that core's own hasher, and the per-core
+/// hashes are folded at the end. Both the capture constructors and
+/// [`TraceCapture::recomputed_hash`] go through here, so a freshly built
+/// capture's stored hash always matches its recomputed one (inputs that
+/// contributed no events drop out of both sides identically).
 fn merged_hash_of(events: &[CoreEvent]) -> u64 {
-    let mut cores: Vec<usize> = events.iter().map(|e| e.core).collect();
-    cores.sort_unstable();
-    cores.dedup();
-    let logs: Vec<(usize, TraceLog)> = cores
-        .into_iter()
-        .map(|c| {
-            (
-                c,
-                events
-                    .iter()
-                    .filter(|e| e.core == c)
-                    .map(|e| e.event)
-                    .collect(),
-            )
-        })
-        .collect();
-    let refs: Vec<(usize, &TraceLog)> = logs.iter().map(|(c, l)| (*c, l)).collect();
-    merged_content_hash(&refs)
+    // Ascending by core id; `last` is the slot of the previous event's
+    // core, since a merged stream often stays on one core for a while.
+    let mut cores: Vec<(usize, Fnv1a)> = Vec::new();
+    let mut last = 0;
+    for e in events {
+        if cores.get(last).is_none_or(|(c, _)| *c != e.core) {
+            last = match cores.binary_search_by_key(&e.core, |(c, _)| *c) {
+                Ok(slot) => slot,
+                Err(slot) => {
+                    cores.insert(slot, (e.core, Fnv1a::new()));
+                    slot
+                }
+            };
+        }
+        hash_event(&mut cores[last].1, &e.event);
+    }
+    fold_core_hashes(cores.iter().map(|(c, h)| (*c, h.finish())))
 }
 
 impl TraceCapture {

@@ -131,24 +131,39 @@ impl EventKind {
         }
     }
 
-    /// Stable lowercase tag used by the text log format.
-    pub fn tag(&self) -> &'static str {
+    /// Position of this variant's tag in [`TAGS`]. The match is
+    /// exhaustive, so a new variant must be given a tag here before it
+    /// compiles.
+    pub(crate) const fn tag_index(&self) -> usize {
         match self {
-            EventKind::JobRelease { .. } => "release",
-            EventKind::JobStart { .. } => "start",
-            EventKind::JobEnd { .. } => "end",
-            EventKind::Preempted { .. } => "preempt",
-            EventKind::Resumed { .. } => "resume",
-            EventKind::DeadlineMiss { .. } => "miss",
-            EventKind::DetectorRelease { .. } => "detector",
-            EventKind::FaultDetected { .. } => "fault",
-            EventKind::AllowanceGranted { .. } => "grant",
-            EventKind::TaskStopped { .. } => "stop",
-            EventKind::CpuIdle => "idle",
-            EventKind::SimEnd => "simend",
+            EventKind::JobRelease { .. } => 0,
+            EventKind::JobStart { .. } => 1,
+            EventKind::JobEnd { .. } => 2,
+            EventKind::Preempted { .. } => 3,
+            EventKind::Resumed { .. } => 4,
+            EventKind::DeadlineMiss { .. } => 5,
+            EventKind::DetectorRelease { .. } => 6,
+            EventKind::FaultDetected { .. } => 7,
+            EventKind::AllowanceGranted { .. } => 8,
+            EventKind::TaskStopped { .. } => 9,
+            EventKind::CpuIdle => 10,
+            EventKind::SimEnd => 11,
         }
     }
+
+    /// Stable lowercase tag used by the text log format.
+    pub fn tag(&self) -> &'static str {
+        TAGS[self.tag_index()]
+    }
 }
+
+/// Every variant's tag, indexed by [`EventKind::tag_index`]: the text
+/// log format and [`TraceLog::content_hash`](crate::log::TraceLog::content_hash)
+/// both read this one list.
+pub(crate) const TAGS: [&str; 12] = [
+    "release", "start", "end", "preempt", "resume", "miss", "detector", "fault", "grant", "stop",
+    "idle", "simend",
+];
 
 /// A timestamped trace record.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -193,6 +208,62 @@ mod tests {
         assert_eq!(e.tag(), "end");
         assert_eq!(EventKind::CpuIdle.task(), None);
         assert_eq!(EventKind::SimEnd.job(), None);
+    }
+
+    #[test]
+    fn every_variant_has_its_own_tag() {
+        let kinds = [
+            EventKind::JobRelease {
+                task: TaskId(1),
+                job: 0,
+            },
+            EventKind::JobStart {
+                task: TaskId(1),
+                job: 0,
+            },
+            EventKind::JobEnd {
+                task: TaskId(1),
+                job: 0,
+            },
+            EventKind::Preempted {
+                task: TaskId(1),
+                job: 0,
+                by: TaskId(2),
+            },
+            EventKind::Resumed {
+                task: TaskId(1),
+                job: 0,
+            },
+            EventKind::DeadlineMiss {
+                task: TaskId(1),
+                job: 0,
+            },
+            EventKind::DetectorRelease {
+                task: TaskId(1),
+                job: 0,
+            },
+            EventKind::FaultDetected {
+                task: TaskId(1),
+                job: 0,
+            },
+            EventKind::AllowanceGranted {
+                task: TaskId(1),
+                job: 0,
+                amount: Duration::millis(1),
+            },
+            EventKind::TaskStopped {
+                task: TaskId(1),
+                job: 0,
+            },
+            EventKind::CpuIdle,
+            EventKind::SimEnd,
+        ];
+        let indices: Vec<usize> = kinds.iter().map(EventKind::tag_index).collect();
+        assert_eq!(indices, (0..TAGS.len()).collect::<Vec<_>>());
+        let mut tags: Vec<&str> = kinds.iter().map(EventKind::tag).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), TAGS.len(), "tags must be unique");
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! architecture: an append-only buffer with cheap pushes, flushed/queried
 //! after the run.
 
-use crate::event::{EventKind, JobIndex, TraceEvent};
+use crate::event::{EventKind, JobIndex, TraceEvent, TAGS};
+use rtft_core::fnv::{Fnv1a, Fnv1aStr};
 use rtft_core::task::TaskId;
 use rtft_core::time::Instant;
 
@@ -156,43 +157,56 @@ impl TraceLog {
             .collect()
     }
 
-    /// A stable content hash of the log (FNV-1a over every event's
-    /// fields) — used by determinism tests and the campaign engine's
-    /// per-job digests: same seed ⇒ same hash. Allocation-free: the
+    /// A stable content hash of the log — used by determinism tests and
+    /// the campaign engine's per-job digests: same seed ⇒ same hash.
+    ///
+    /// The definition is byte-serial FNV-1a over, per event in order:
+    /// `at` in nanoseconds as 8 little-endian bytes, the UTF-8 bytes of
+    /// [`EventKind::tag`], the task id and the job index as 8 bytes each
+    /// (`u64::MAX` when the variant has none), then the payload outside
+    /// `(task, job)`: `by` of a preemption, `amount` in nanoseconds of a
+    /// grant, 8 bytes each.
+    ///
+    /// It is computed with [`Fnv1a`]'s two exact fast paths, for about a
+    /// third of the serial steps: each 8-byte field takes a full step
+    /// only per significant low byte and one multiply for its high zero
+    /// bytes (xor with 0 is the identity), and each tag takes one
+    /// multiply, one table load and one add (the low 8 bits of the state
+    /// alone decide what xoring a fixed string in adds). The result is
+    /// bit-identical to the byte-serial definition. Allocation-free: the
     /// campaign hot path hashes millions of events.
     pub fn content_hash(&self) -> u64 {
-        fn eat_bytes(h: &mut u64, bytes: &[u8]) {
-            for b in bytes {
-                *h ^= u64::from(*b);
-                *h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        }
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a::new();
         for e in &self.events {
-            eat_bytes(&mut h, &e.at.as_nanos().to_le_bytes());
-            // Discriminant: the full per-variant tag (unique strings).
-            eat_bytes(&mut h, e.kind.tag().as_bytes());
-            eat_bytes(
-                &mut h,
-                &e.kind
-                    .task()
-                    .map_or(u64::MAX, |t| u64::from(t.0))
-                    .to_le_bytes(),
-            );
-            eat_bytes(&mut h, &e.kind.job().unwrap_or(u64::MAX).to_le_bytes());
-            // Payload fields outside (task, job) — extend this match
-            // when a new variant carries extra data.
-            match e.kind {
-                EventKind::Preempted { by, .. } => {
-                    eat_bytes(&mut h, &u64::from(by.0).to_le_bytes())
-                }
-                EventKind::AllowanceGranted { amount, .. } => {
-                    eat_bytes(&mut h, &amount.as_nanos().to_le_bytes())
-                }
-                _ => {}
-            }
+            hash_event(&mut h, e);
         }
-        h
+        h.finish()
+    }
+}
+
+/// Every tag of [`TAGS`], folded for [`Fnv1a::fixed`].
+static TAG_HASHES: [Fnv1aStr; TAGS.len()] = {
+    let mut folded = [Fnv1aStr::new(""); TAGS.len()];
+    let mut i = 0;
+    while i < TAGS.len() {
+        folded[i] = Fnv1aStr::new(TAGS[i]);
+        i += 1;
+    }
+    folded
+};
+
+/// Feed one event to `h` as [`TraceLog::content_hash`] defines it.
+pub(crate) fn hash_event(h: &mut Fnv1a, e: &TraceEvent) {
+    h.word(e.at.as_nanos() as u64);
+    h.fixed(&TAG_HASHES[e.kind.tag_index()]);
+    h.word(e.kind.task().map_or(u64::MAX, |t| u64::from(t.0)));
+    h.word(e.kind.job().unwrap_or(u64::MAX));
+    // Payload fields outside (task, job) — extend this match when a new
+    // variant carries extra data.
+    match e.kind {
+        EventKind::Preempted { by, .. } => h.word(u64::from(by.0)),
+        EventKind::AllowanceGranted { amount, .. } => h.word(amount.as_nanos() as u64),
+        _ => {}
     }
 }
 
@@ -342,5 +356,25 @@ mod tests {
     fn from_iterator() {
         let log: TraceLog = sample().events().iter().copied().collect();
         assert_eq!(log, sample());
+    }
+
+    #[test]
+    fn each_tag_table_equals_the_byte_fold_for_every_low_byte() {
+        // One byte from the offset basis reaches every low byte of the
+        // state: xor with it and the multiply by the odd multiplier are
+        // both bijections of the low 8 bits.
+        let mut lows = std::collections::BTreeSet::new();
+        for (tag, folded) in TAGS.iter().zip(&TAG_HASHES) {
+            for b in 0..=255u8 {
+                let mut fast = Fnv1a::new();
+                fast.bytes(&[b]);
+                lows.insert(fast.finish() & 0xff);
+                let mut serial = fast;
+                fast.fixed(folded);
+                serial.bytes(tag.as_bytes());
+                assert_eq!(fast, serial, "{tag} after byte {b:#x}");
+            }
+        }
+        assert_eq!(lows.len(), 256);
     }
 }

@@ -10,6 +10,7 @@
 
 use crate::event::TraceEvent;
 use crate::log::TraceLog;
+use rtft_core::fnv::Fnv1a;
 use std::fmt;
 
 /// One event of a merged multicore trace, tagged with the core that
@@ -85,19 +86,13 @@ pub fn merged_content_hash(logs: &[(usize, &TraceLog)]) -> u64 {
 /// each core's log folds those hashes here instead of hashing every
 /// event a second time.
 pub fn fold_core_hashes(hashes: impl ExactSizeIterator<Item = (usize, u64)>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        }
-    };
-    eat(&(hashes.len() as u64).to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.word(hashes.len() as u64);
     for (core, hash) in hashes {
-        eat(&(core as u64).to_le_bytes());
-        eat(&hash.to_le_bytes());
+        h.word(core as u64);
+        h.word(hash);
     }
-    h
+    h.finish()
 }
 
 /// Render a merged stream as text lines (`c<core> <event>` per line) —
