@@ -10,8 +10,10 @@
 //! directly.
 
 use rtft_core::policy::PolicyKind;
-use rtft_core::query::{parse_cores, FaultEntry, Placement, PlatformModel, SystemSpec};
-use rtft_core::task::{TaskBuilder, TaskId, TaskSet, TaskSpec};
+use rtft_core::query::{
+    parse_cores, FaultEntry, Placement, PlatformModel, SystemLines, SystemSpec,
+};
+use rtft_core::task::{TaskId, TaskSet};
 use rtft_core::time::{Duration, Instant};
 use rtft_ft::treatment::Treatment;
 use rtft_part::alloc::AllocPolicy;
@@ -19,7 +21,6 @@ use rtft_sim::fault::{FaultPlan, RandomFaults};
 use rtft_sim::overhead::Overheads;
 use rtft_sim::stop::{StopMode, StopModel};
 use rtft_sim::timer::TimerModel;
-use rtft_taskgen::parser::parse_duration;
 use rtft_taskgen::{DeadlineKind, GeneratorConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -620,7 +621,7 @@ fn parse_duration_range(v: &str) -> Result<(Duration, Duration), String> {
     let (a, b) = v
         .split_once("..")
         .ok_or_else(|| format!("expected <dur>..<dur>, got `{v}`"))?;
-    Ok((parse_duration(a)?, parse_duration(b)?))
+    Ok((a.parse()?, b.parse()?))
 }
 
 /// Parse a campaign spec file.
@@ -706,10 +707,7 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
     let mut spec = CampaignSpec::default();
     let mut warnings: Vec<SpecWarning> = Vec::new();
     let mut seen_scalar: BTreeMap<&str, usize> = BTreeMap::new();
-    let mut inline_tasks: Vec<TaskSpec> = Vec::new();
-    let mut inline_names: BTreeMap<String, TaskId> = BTreeMap::new();
-    let mut inline_faults: Option<FaultPlan> = None;
-    let mut next_id: u32 = 1;
+    let mut inline = SystemLines::default();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -746,7 +744,7 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
                 let d = words
                     .get(1)
                     .ok_or_else(|| err("horizon: missing duration".into()))
-                    .and_then(|w| parse_duration(w).map_err(&err))?;
+                    .and_then(|w| w.parse::<Duration>().map_err(&err))?;
                 if !d.is_positive() {
                     return Err(err("horizon must be positive".into()));
                 }
@@ -758,53 +756,10 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
                 _ => return Err(err("oracle: expected on|off".into())),
             },
             "task" => {
-                // task <name> <priority> <period> <deadline> <cost> [offset]
-                if !(6..=7).contains(&words.len()) {
-                    return Err(err(
-                        "expected: task <name> <priority> <period> <deadline> <cost> [offset]"
-                            .into(),
-                    ));
-                }
-                let name = words[1].to_string();
-                if inline_names.contains_key(&name) {
-                    return Err(err(format!("duplicate task name `{name}`")));
-                }
-                let priority: i32 = words[2]
-                    .parse()
-                    .map_err(|e| err(format!("bad priority `{}`: {e}", words[2])))?;
-                let period = parse_duration(words[3]).map_err(&err)?;
-                let deadline = parse_duration(words[4]).map_err(&err)?;
-                let cost = parse_duration(words[5]).map_err(&err)?;
-                let mut b = TaskBuilder::new(next_id, priority, period, cost)
-                    .name(name.clone())
-                    .deadline(deadline);
-                if words.len() == 7 {
-                    b = b.offset(parse_duration(words[6]).map_err(&err)?);
-                }
-                inline_names.insert(name, TaskId(next_id));
-                next_id += 1;
-                inline_tasks.push(b.build());
+                inline.task(&words[1..], true).map_err(&err)?;
             }
             "fault" => {
-                // fault <task-name> job <n> overrun|underrun <dur>
-                if words.len() != 6 || words[2] != "job" {
-                    return Err(err(
-                        "expected: fault <task> job <n> overrun|underrun <duration>".into(),
-                    ));
-                }
-                let id = *inline_names
-                    .get(words[1])
-                    .ok_or_else(|| err(format!("unknown task `{}`", words[1])))?;
-                let job: u64 = words[3]
-                    .parse()
-                    .map_err(|e| err(format!("bad job index `{}`: {e}", words[3])))?;
-                let amount = parse_duration(words[5]).map_err(&err)?;
-                let plan = inline_faults.take().unwrap_or_default();
-                inline_faults = Some(match words[4] {
-                    "overrun" => plan.overrun(id, job, amount),
-                    "underrun" => plan.underrun(id, job, amount),
-                    other => return Err(err(format!("unknown fault kind `{other}`"))),
-                });
+                inline.fault(&words[1..]).map_err(&err)?;
             }
             "taskgen" => match words.get(1).copied() {
                 Some("paper") => spec.sets.push(SetSource::Paper),
@@ -879,7 +834,7 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
                             }
                             "overrun" => {
                                 for part in v.split(',') {
-                                    let d = parse_duration(part).map_err(&err)?;
+                                    let d: Duration = part.parse().map_err(&err)?;
                                     if !d.is_positive() {
                                         return Err(err("overrun must be positive".into()));
                                     }
@@ -994,6 +949,7 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
         }
     }
 
+    let (inline_tasks, _, faults) = inline.into_parts();
     if !inline_tasks.is_empty() {
         let set = TaskSet::new(inline_tasks).map_err(|e| SpecError {
             line: 0,
@@ -1001,14 +957,11 @@ pub fn parse_spec_with_warnings(text: &str) -> Result<(CampaignSpec, Vec<SpecWar
         })?;
         spec.sets.insert(0, SetSource::Inline(set));
     }
-    if let Some(plan) = inline_faults {
-        if spec.sets.iter().all(|s| !matches!(s, SetSource::Inline(_))) {
-            return Err(SpecError {
-                line: 0,
-                message: "inline `fault` lines require inline `task` lines".into(),
-            });
-        }
-        spec.faults.insert(0, FaultSource::Explicit(plan));
+    // A fault line names an inline task, so inline faults always come
+    // with the inline set.
+    if !faults.is_empty() {
+        spec.faults
+            .insert(0, FaultSource::Explicit(faults.into_iter().collect()));
     }
     Ok((spec, warnings))
 }
@@ -1216,6 +1169,39 @@ platform exact
             assert!(e.message.contains(needle), "{text}: {e}");
             assert_eq!(e.line, 1, "{text}");
         }
+    }
+
+    #[test]
+    fn nonpositive_and_overflowing_inline_faults_are_line_errors() {
+        const MAX: &str = "9223372036854775807ns";
+        for (faults, message) in [
+            (
+                "fault a job 0 overrun 0ms\n",
+                "overrun amount `0ms` must be greater than zero",
+            ),
+            (
+                "fault a job 0 underrun -5ms\n",
+                "underrun amount `-5ms` must be greater than zero",
+            ),
+            (
+                &format!("fault a job 0 overrun {MAX}\nfault a job 0 overrun {MAX}\n"),
+                "summed fault delta of `a` job 0 overflows",
+            ),
+        ] {
+            let text = format!("campaign c\ntask a 1 10ms 10ms 1ms\n{faults}treatment detect\n");
+            let e = parse_spec(&text).unwrap_err();
+            assert_eq!(e.message, message, "{text}");
+            assert_eq!(e.line, faults.lines().count() + 2, "{text}");
+        }
+        // Repeats that fit sum into one plan entry.
+        let spec = parse_spec(&format!(
+            "task a 1 10ms 10ms 1ms\nfault a job 0 overrun {MAX}\nfault a job 0 underrun 2ns\n"
+        ))
+        .unwrap();
+        let FaultSource::Explicit(plan) = &spec.faults[0] else {
+            panic!("inline faults form an explicit plan");
+        };
+        assert_eq!(plan.delta(TaskId(1), 0), Duration::nanos(i64::MAX - 2));
     }
 
     #[test]

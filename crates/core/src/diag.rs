@@ -405,7 +405,8 @@ pub fn parse_failure(line: usize, message: impl Into<String>) -> Diagnostic {
             "period, cost and deadline must be positive, the offset non-negative",
         );
     }
-    if message.contains("duplicate task id") || message.contains("duplicate task name") {
+    // A duplicate id in the set, or a duplicate name on a task line.
+    if message.contains("duplicate task ") {
         return Diagnostic::new(
             "RT006",
             span,

@@ -26,9 +26,10 @@
 //!
 //! ## Line format
 //!
-//! A *query batch* is a system description plus query lines, in the
-//! same line grammar campaign specs use for their system axes (`#`
-//! starts a comment, blank lines are ignored):
+//! A *query batch* is a system description plus query lines (`#`
+//! starts a comment, blank lines are ignored). Its `task` and `fault`
+//! lines go through [`SystemLines`], which campaign specs and task
+//! files share:
 //!
 //! ```text
 //! system paper
@@ -413,35 +414,7 @@ impl SystemSpec {
     /// ([`render_batch`]) and campaign repro artifacts, which wrap the
     /// same body in their own header/trailer lines.
     pub fn render_lines(&self, out: &mut String) {
-        for t in self.set.tasks() {
-            let _ = write!(
-                out,
-                "task {} {} {}ns {}ns {}ns",
-                t.name,
-                t.priority.0,
-                t.period.as_nanos(),
-                t.deadline.as_nanos(),
-                t.cost.as_nanos()
-            );
-            if !t.offset.is_zero() {
-                let _ = write!(out, " {}ns", t.offset.as_nanos());
-            }
-            out.push('\n');
-        }
-        for f in &self.faults {
-            let (kind, amount) = if f.delta.is_negative() {
-                ("underrun", -f.delta)
-            } else {
-                ("overrun", f.delta)
-            };
-            let _ = writeln!(
-                out,
-                "fault {} job {} {kind} {}ns",
-                self.task_name(f.task),
-                f.job,
-                amount.as_nanos()
-            );
-        }
+        SystemLines::render(out, true, self.set.tasks(), self.faults.iter().copied());
         let _ = writeln!(out, "policy {}", self.policy.label());
         let _ = writeln!(out, "cores {}", self.cores);
         let _ = writeln!(out, "alloc {}", self.alloc.label());
@@ -971,6 +944,178 @@ impl fmt::Display for QueryParseError {
 
 impl std::error::Error for QueryParseError {}
 
+/// The task and fault lines of a system description, parsed and
+/// rendered once for every text format that carries them: query
+/// batches ([`parse_batch`]), campaign specs (`rtft_campaign::spec`)
+/// and task files (`rtft_taskgen::parser`, the same lines without the
+/// `task` keyword).
+///
+/// Feed it one line at a time; it assigns task ids in line order from
+/// 1, resolves fault targets by name, and keeps every fault entry as
+/// written. A line it rejects leaves it unchanged, and the error is a
+/// message for the caller to put a line number on.
+///
+/// ```
+/// use rtft_core::query::SystemLines;
+/// use rtft_core::task::TaskId;
+///
+/// let mut lines = SystemLines::default();
+/// lines.task(&["a", "2", "100ms", "100ms", "10ms"], true).unwrap();
+/// lines.fault(&["a", "job", "3", "overrun", "5ms"]).unwrap();
+/// assert_eq!(lines.task_id("a"), Some(TaskId(1)));
+/// let e = lines.fault(&["a", "job", "3", "underrun", "0ms"]).unwrap_err();
+/// assert!(e.contains("greater than zero"), "{e}");
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct SystemLines {
+    tasks: Vec<TaskSpec>,
+    names: BTreeMap<String, TaskId>,
+    faults: Vec<FaultEntry>,
+    /// Each faulty job's summed delta, checked on every fault line.
+    sums: BTreeMap<(TaskId, u64), Duration>,
+}
+
+impl SystemLines {
+    /// Add the task of one line: `fields` are the words after the
+    /// `task` keyword when `keyword` is set (batches, campaign specs),
+    /// or the whole line when it is not (task files).
+    ///
+    /// # Errors
+    /// A message on a wrong field count, a duplicate name, or a bad
+    /// priority or duration.
+    pub fn task(&mut self, fields: &[&str], keyword: bool) -> Result<(), String> {
+        if !(5..=6).contains(&fields.len()) {
+            let keyword = if keyword { "task " } else { "" };
+            return Err(format!(
+                "expected: {keyword}<name> <priority> <period> <deadline> <cost> [offset]"
+            ));
+        }
+        let name = fields[0];
+        if self.names.contains_key(name) {
+            return Err(format!("duplicate task name `{name}`"));
+        }
+        let priority: i32 = fields[1]
+            .parse()
+            .map_err(|e| format!("bad priority `{}`: {e}", fields[1]))?;
+        let period: Duration = fields[2].parse()?;
+        let deadline: Duration = fields[3].parse()?;
+        let cost: Duration = fields[4].parse()?;
+        let id = TaskId(self.tasks.len() as u32 + 1);
+        let mut b = TaskBuilder::new(id.0, priority, period, cost)
+            .name(name)
+            .deadline(deadline);
+        if let Some(offset) = fields.get(5) {
+            b = b.offset(offset.parse()?);
+        }
+        self.names.insert(name.to_string(), id);
+        self.tasks.push(b.build());
+        Ok(())
+    }
+
+    /// Add the fault of one `fault <task> job <n> overrun|underrun
+    /// <duration>` line; `fields` are the words after `fault`.
+    ///
+    /// # Errors
+    /// A message on a malformed line, an unknown task or fault kind, a
+    /// bad job index or duration, an amount that is not greater than
+    /// zero, or a job whose summed delta leaves the `i64` range.
+    pub fn fault(&mut self, fields: &[&str]) -> Result<(), String> {
+        if fields.len() != 5 || fields[1] != "job" {
+            return Err("expected: fault <task> job <n> overrun|underrun <duration>".into());
+        }
+        let task = self
+            .task_id(fields[0])
+            .ok_or_else(|| format!("unknown task `{}`", fields[0]))?;
+        let job: u64 = fields[2]
+            .parse()
+            .map_err(|e| format!("bad job index `{}`: {e}", fields[2]))?;
+        let amount: Duration = fields[4].parse()?;
+        let kind = fields[3];
+        let underrun = match kind {
+            "overrun" => false,
+            "underrun" => true,
+            other => return Err(format!("unknown fault kind `{other}`")),
+        };
+        // Checked before the negation, which `i64::MIN` would overflow.
+        if !amount.is_positive() {
+            return Err(format!(
+                "{kind} amount `{}` must be greater than zero",
+                fields[4]
+            ));
+        }
+        let delta = if underrun { -amount } else { amount };
+        // The sum must stay negatable too: a renderer writes a negative
+        // sum as an underrun of its magnitude.
+        let sum = self.sums.get(&(task, job)).copied().unwrap_or_default();
+        let total = sum
+            .checked_add(delta)
+            .filter(|t| *t != Duration::nanos(i64::MIN))
+            .ok_or_else(|| format!("summed fault delta of `{}` job {job} overflows", fields[0]))?;
+        self.sums.insert((task, job), total);
+        self.faults.push(FaultEntry { task, job, delta });
+        Ok(())
+    }
+
+    /// The id of the task named `name`, when a task line declared it.
+    pub fn task_id(&self, name: &str) -> Option<TaskId> {
+        self.names.get(name).copied()
+    }
+
+    /// The tasks (in line order), the name → id map and the fault
+    /// entries (in line order, duplicates kept).
+    pub fn into_parts(self) -> (Vec<TaskSpec>, BTreeMap<String, TaskId>, Vec<FaultEntry>) {
+        (self.tasks, self.names, self.faults)
+    }
+
+    /// Write `tasks` and `faults` as task and fault lines, the inverse
+    /// of [`SystemLines::task`] and [`SystemLines::fault`]: durations
+    /// in `ns`, a zero offset omitted, a negative delta written as an
+    /// underrun. `keyword` prefixes each task line with `task`; fault
+    /// targets are named from `tasks` (`t<id>` when absent).
+    pub fn render(
+        out: &mut String,
+        keyword: bool,
+        tasks: &[TaskSpec],
+        faults: impl IntoIterator<Item = FaultEntry>,
+    ) {
+        for t in tasks {
+            if keyword {
+                out.push_str("task ");
+            }
+            let _ = write!(
+                out,
+                "{} {} {}ns {}ns {}ns",
+                t.name,
+                t.priority.0,
+                t.period.as_nanos(),
+                t.deadline.as_nanos(),
+                t.cost.as_nanos()
+            );
+            if !t.offset.is_zero() {
+                let _ = write!(out, " {}ns", t.offset.as_nanos());
+            }
+            out.push('\n');
+        }
+        for f in faults {
+            let (kind, amount) = if f.delta.is_negative() {
+                ("underrun", -f.delta)
+            } else {
+                ("overrun", f.delta)
+            };
+            let name = tasks
+                .iter()
+                .find(|t| t.id == f.task)
+                .map_or_else(|| format!("t{}", f.task.0), |t| t.name.clone());
+            let _ = writeln!(
+                out,
+                "fault {name} job {} {kind} {}ns",
+                f.job,
+                amount.as_nanos()
+            );
+        }
+    }
+}
+
 /// Render a [`SystemSpec`] plus its queries as a batch file.
 /// Round-trips through [`parse_batch`].
 pub fn render_batch(spec: &SystemSpec, queries: &[Query]) -> String {
@@ -992,16 +1137,13 @@ pub fn render_batch(spec: &SystemSpec, queries: &[Query]) -> String {
 /// [`QueryParseError`] with the offending line number.
 pub fn parse_batch(text: &str) -> Result<(SystemSpec, Vec<Query>), QueryParseError> {
     let mut name = "system".to_string();
-    let mut tasks: Vec<TaskSpec> = Vec::new();
-    let mut names: BTreeMap<String, TaskId> = BTreeMap::new();
-    let mut faults: Vec<FaultEntry> = Vec::new();
+    let mut lines = SystemLines::default();
     let mut policy = PolicyKind::FixedPriority;
     let mut cores = 1usize;
     let mut alloc = AllocPolicy::FirstFitDecreasing;
     let mut placement = Placement::Partitioned;
     let mut platform = PlatformModel::EXACT;
     let mut queries: Vec<Query> = Vec::new();
-    let mut next_id: u32 = 1;
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -1023,55 +1165,10 @@ pub fn parse_batch(text: &str) -> Result<(SystemSpec, Vec<Query>), QueryParseErr
                 }
             }
             "task" => {
-                if !(6..=7).contains(&words.len()) {
-                    return Err(err(
-                        "expected: task <name> <priority> <period> <deadline> <cost> [offset]"
-                            .into(),
-                    ));
-                }
-                let task_name = words[1].to_string();
-                if names.contains_key(&task_name) {
-                    return Err(err(format!("duplicate task name `{task_name}`")));
-                }
-                let priority: i32 = words[2]
-                    .parse()
-                    .map_err(|e| err(format!("bad priority `{}`: {e}", words[2])))?;
-                let period: Duration = words[3].parse().map_err(&err)?;
-                let deadline: Duration = words[4].parse().map_err(&err)?;
-                let cost: Duration = words[5].parse().map_err(&err)?;
-                let mut b = TaskBuilder::new(next_id, priority, period, cost)
-                    .name(task_name.clone())
-                    .deadline(deadline);
-                if words.len() == 7 {
-                    b = b.offset(words[6].parse().map_err(&err)?);
-                }
-                names.insert(task_name, TaskId(next_id));
-                next_id += 1;
-                tasks.push(b.build());
+                lines.task(&words[1..], true).map_err(&err)?;
             }
             "fault" => {
-                if words.len() != 6 || words[2] != "job" {
-                    return Err(err(
-                        "expected: fault <task> job <n> overrun|underrun <duration>".into(),
-                    ));
-                }
-                let id = *names
-                    .get(words[1])
-                    .ok_or_else(|| err(format!("unknown task `{}`", words[1])))?;
-                let job: u64 = words[3]
-                    .parse()
-                    .map_err(|e| err(format!("bad job index `{}`: {e}", words[3])))?;
-                let amount: Duration = words[5].parse().map_err(&err)?;
-                let delta = match words[4] {
-                    "overrun" => amount,
-                    "underrun" => -amount,
-                    other => return Err(err(format!("unknown fault kind `{other}`"))),
-                };
-                faults.push(FaultEntry {
-                    task: id,
-                    job,
-                    delta,
-                });
+                lines.fault(&words[1..]).map_err(&err)?;
             }
             "policy" => {
                 let word = words
@@ -1108,8 +1205,8 @@ pub fn parse_batch(text: &str) -> Result<(SystemSpec, Vec<Query>), QueryParseErr
                         let target = words
                             .get(2)
                             .ok_or_else(|| err("overrun: missing task name".into()))?;
-                        let id = *names
-                            .get(*target)
+                        let id = lines
+                            .task_id(target)
                             .ok_or_else(|| err(format!("unknown task `{target}`")))?;
                         Query::MaxSingleOverrun(id)
                     }
@@ -1129,7 +1226,8 @@ pub fn parse_batch(text: &str) -> Result<(SystemSpec, Vec<Query>), QueryParseErr
     }
 
     // Fault targets need no post-validation: every entry's id was
-    // resolved through the `names` map, so it is necessarily in `set`.
+    // resolved by name, so it is necessarily in `set`.
+    let (tasks, _, faults) = lines.into_parts();
     let set = TaskSet::new(tasks).map_err(|e| QueryParseError {
         line: 0,
         message: format!("task set invalid: {e}"),
@@ -1241,6 +1339,44 @@ mod tests {
             assert!(e.message.contains(needle), "{text}: {e}");
             assert_eq!(e.line, 2, "{text}");
         }
+    }
+
+    #[test]
+    fn fault_amounts_must_be_positive_and_job_sums_must_fit() {
+        const MAX: &str = "9223372036854775807ns";
+        for (faults, needle) in [
+            (
+                "fault a job 0 overrun 0ms\n",
+                "overrun amount `0ms` must be greater than zero",
+            ),
+            (
+                "fault a job 0 underrun -5ms\n",
+                "underrun amount `-5ms` must be greater than zero",
+            ),
+            (
+                &format!("fault a job 0 overrun {MAX}\nfault a job 0 overrun {MAX}\n"),
+                "summed fault delta of `a` job 0 overflows",
+            ),
+            (
+                &format!("fault a job 7 underrun {MAX}\nfault a job 7 underrun 1ns\n"),
+                "summed fault delta of `a` job 7 overflows",
+            ),
+        ] {
+            let text = format!("task a 1 10ms 10ms 1ms\n{faults}query feasibility\n");
+            let e = parse_batch(&text).unwrap_err();
+            assert_eq!(e.message, needle, "{text}");
+            assert_eq!(e.line, faults.lines().count() + 1, "{text}");
+            let d = crate::diag::parse_failure(e.line, e.message);
+            assert_eq!(d.code, "RT000", "{text}");
+        }
+        // Extreme amounts that fit stay separate entries (RT005 flags
+        // the repeat) and render back to the same lines.
+        let text = format!(
+            "task a 1 10ms 10ms 1ms\nfault a job 0 overrun {MAX}\nfault a job 0 underrun {MAX}\n"
+        );
+        let (spec, _) = parse_batch(&text).unwrap();
+        assert_eq!(spec.faults.len(), 2);
+        assert_eq!(parse_batch(&render_batch(&spec, &[])).unwrap().0, spec);
     }
 
     #[test]

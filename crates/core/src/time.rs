@@ -315,8 +315,8 @@ impl std::str::FromStr for Duration {
     /// Parse a duration token: an integer with an optional `ns`/`us`/
     /// `ms`/`s` suffix; a bare integer means milliseconds (the unit of
     /// every table in the paper). This is the single duration grammar
-    /// shared by task files, campaign specs and query batches
-    /// (`rtft_taskgen::parser::parse_duration` delegates here).
+    /// shared by task files, campaign specs, query batches and CLI
+    /// flags; their callers call `str::parse::<Duration>` directly.
     fn from_str(token: &str) -> Result<Self, Self::Err> {
         let (digits, mult) = if let Some(v) = token.strip_suffix("ns") {
             (v, 1i64)

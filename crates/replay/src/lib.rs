@@ -60,7 +60,6 @@ use rtft_campaign::{parse_spec, JobSpec, PlatformSpec};
 use rtft_core::query::{spec_hash, SystemSpec};
 use rtft_core::time::Instant;
 use rtft_ft::treatment::Treatment;
-use rtft_sim::fault::FaultPlan;
 use rtft_trace::TraceCapture;
 use std::sync::Arc;
 
@@ -108,14 +107,6 @@ pub fn job_from_campaign(text: &str) -> Result<JobSpec, ReplayError> {
 /// Lift a query-plane [`SystemSpec`] (an `.rtft` batch header) into a
 /// replayable job under `treatment`, simulated to `horizon`.
 pub fn job_from_system(spec: &SystemSpec, treatment: Treatment, horizon: Instant) -> JobSpec {
-    let mut faults = FaultPlan::none();
-    for entry in &spec.faults {
-        if entry.delta.is_positive() {
-            faults = faults.overrun(entry.task, entry.job, entry.delta);
-        } else if entry.delta.is_negative() {
-            faults = faults.underrun(entry.task, entry.job, entry.delta.abs());
-        }
-    }
     JobSpec {
         index: 0,
         set_ordinal: 0,
@@ -126,7 +117,7 @@ pub fn job_from_system(spec: &SystemSpec, treatment: Treatment, horizon: Instant
         placement: spec.placement,
         alloc: spec.alloc,
         fault_label: "explicit".to_string(),
-        faults,
+        faults: spec.faults.iter().copied().collect(),
         treatment,
         platform: PlatformSpec::from_model(&spec.platform),
         horizon,

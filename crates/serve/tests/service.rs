@@ -419,3 +419,33 @@ fn trace_route_rejects_garbage_and_grids() {
     assert_eq!(client.post_query(query, false).expect("reply").status, 422);
     handle.shutdown();
 }
+
+#[test]
+fn nonpositive_fault_amounts_answer_422_and_the_worker_survives() {
+    // One worker: a request that killed it would leave nobody to
+    // answer the query below.
+    let (handle, client) = spawn(|cfg| cfg.threads = 1);
+    let client = client.with_timeout(std::time::Duration::from_secs(10));
+    let spec = "campaign zero\nhorizon 500ms\ntask a 9 100ms 100ms 10ms\n\
+                fault a job 0 overrun 0ms\ntreatment detect\n";
+    let reply = client.post_trace(spec).expect("reply");
+    assert_eq!(reply.status, 422, "{}", reply.body);
+    assert!(
+        reply.body.starts_with("RT000 error line:4"),
+        "{}",
+        reply.body
+    );
+    let batch = "system zero\ntask a 9 100ms 100ms 10ms\nfault a job 0 underrun -1ms\n\
+                 query feasibility\n";
+    let reply = client.post_query(batch, false).expect("reply");
+    assert_eq!(reply.status, 422, "{}", reply.body);
+    assert!(
+        reply.body.starts_with("RT000 error line:3"),
+        "{}",
+        reply.body
+    );
+    let reply = client.post_query(PAPER_BATCH, false).expect("query");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    assert_eq!(reply.body, reference(PAPER_BATCH, false));
+    handle.shutdown();
+}

@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use rtft_core::query::FaultEntry;
 use rtft_core::task::{TaskId, TaskSet};
 use rtft_core::time::Duration;
 use std::collections::BTreeMap;
@@ -96,6 +97,21 @@ impl FaultPlan {
             .filter(|d| d.is_positive())
             .max()
             .unwrap_or(Duration::ZERO)
+    }
+}
+
+/// Collect fault entries into a plan: repeated entries on one job sum,
+/// and a job whose deltas cancel out is left fault-free. The entries
+/// of one parsed system ([`rtft_core::query::SystemLines`]) never
+/// overflow that sum.
+impl FromIterator<FaultEntry> for FaultPlan {
+    fn from_iter<I: IntoIterator<Item = FaultEntry>>(entries: I) -> Self {
+        let mut deltas: BTreeMap<(TaskId, u64), Duration> = BTreeMap::new();
+        for f in entries {
+            *deltas.entry((f.task, f.job)).or_default() += f.delta;
+        }
+        deltas.retain(|_, delta| !delta.is_zero());
+        FaultPlan { deltas }
     }
 }
 

@@ -18,12 +18,15 @@
 //! fault tau2 job 3 underrun 5ms
 //! ```
 //!
-//! Durations accept `ns`, `us`, `ms`, `s` suffixes (bare numbers = ms,
-//! matching the paper's tables). Task ids are assigned in file order
-//! starting at 1.
+//! These are the task and fault lines of query batches and campaign
+//! specs ([`SystemLines`] parses and renders all of them), with no
+//! `task` keyword. Durations accept `ns`, `us`, `ms`, `s` suffixes (bare
+//! numbers = ms, matching the paper's tables), and a fault amount must
+//! be greater than zero. Task ids are assigned in file order starting
+//! at 1.
 
-use rtft_core::task::{TaskBuilder, TaskId, TaskSet, TaskSpec};
-use rtft_core::time::Duration;
+use rtft_core::query::{FaultEntry, SystemLines};
+use rtft_core::task::{TaskId, TaskSet, TaskSpec};
 use rtft_sim::fault::FaultPlan;
 use std::collections::BTreeMap;
 
@@ -66,85 +69,31 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parse a duration token: integer plus optional `ns`/`us`/`ms`/`s`
-/// suffix; a bare integer means milliseconds.
-pub fn parse_duration(token: &str) -> Result<Duration, String> {
-    // The grammar lives on `Duration` itself (`FromStr` in rtft-core)
-    // so task files, campaign specs and query batches can never drift.
-    token.parse()
-}
-
-/// Parse a full system description.
+/// Parse a full system description: the task and fault lines of
+/// [`SystemLines`], with no `task` keyword. Repeated faults on one job
+/// sum into the [`FaultPlan`].
 pub fn parse(text: &str) -> Result<SystemDescription, ParseError> {
-    let mut tasks: Vec<TaskSpec> = Vec::new();
-    let mut names: BTreeMap<String, TaskId> = BTreeMap::new();
-    let mut faults = FaultPlan::none();
-    let mut next_id: u32 = 1;
-
+    let mut lines = SystemLines::default();
     for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
         }
         let words: Vec<&str> = line.split_ascii_whitespace().collect();
-        let err = |message: String| ParseError {
-            line: line_no,
-            message,
+        let added = if words[0] == "fault" {
+            lines.fault(&words[1..])
+        } else {
+            lines.task(&words, false)
         };
-
-        if words[0] == "fault" {
-            // fault <name> job <n> overrun|underrun <dur>
-            if words.len() != 6 || words[2] != "job" {
-                return Err(err(
-                    "expected: fault <task> job <n> overrun|underrun <duration>".into(),
-                ));
-            }
-            let id = *names
-                .get(words[1])
-                .ok_or_else(|| err(format!("unknown task `{}`", words[1])))?;
-            let job: u64 = words[3]
-                .parse()
-                .map_err(|e| err(format!("bad job index `{}`: {e}", words[3])))?;
-            let amount = parse_duration(words[5]).map_err(&err)?;
-            faults = match words[4] {
-                "overrun" => faults.overrun(id, job, amount),
-                "underrun" => faults.underrun(id, job, amount),
-                other => return Err(err(format!("unknown fault kind `{other}`"))),
-            };
-            continue;
-        }
-
-        // <name> <priority> <period> <deadline> <cost> [offset]
-        if !(5..=6).contains(&words.len()) {
-            return Err(err(
-                "expected: <name> <priority> <period> <deadline> <cost> [offset]".into(),
-            ));
-        }
-        let name = words[0].to_string();
-        if names.contains_key(&name) {
-            return Err(err(format!("duplicate task name `{name}`")));
-        }
-        let priority: i32 = words[1]
-            .parse()
-            .map_err(|e| err(format!("bad priority `{}`: {e}", words[1])))?;
-        let period = parse_duration(words[2]).map_err(&err)?;
-        let deadline = parse_duration(words[3]).map_err(&err)?;
-        let cost = parse_duration(words[4]).map_err(&err)?;
-        let mut b = TaskBuilder::new(next_id, priority, period, cost)
-            .name(name.clone())
-            .deadline(deadline);
-        if words.len() == 6 {
-            b = b.offset(parse_duration(words[5]).map_err(&err)?);
-        }
-        names.insert(name, TaskId(next_id));
-        next_id += 1;
-        tasks.push(b.build());
+        added.map_err(|message| ParseError {
+            line: idx + 1,
+            message,
+        })?;
     }
-
+    let (tasks, names, faults) = lines.into_parts();
     Ok(SystemDescription {
         tasks,
-        faults,
+        faults: faults.into_iter().collect(),
         names,
     })
 }
@@ -152,45 +101,12 @@ pub fn parse(text: &str) -> Result<SystemDescription, ParseError> {
 /// Serialize a description back to the file format (round-trips with
 /// [`parse`]).
 pub fn to_text(desc: &SystemDescription) -> String {
-    use std::fmt::Write as _;
     let mut out = String::from("# name priority period deadline cost [offset]\n");
-    let name_of = |id: TaskId| -> String {
-        desc.names
-            .iter()
-            .find(|(_, v)| **v == id)
-            .map(|(k, _)| k.clone())
-            .unwrap_or_else(|| format!("t{}", id.0))
-    };
-    for t in &desc.tasks {
-        let _ = write!(
-            out,
-            "{} {} {}ns {}ns {}ns",
-            t.name,
-            t.priority.0,
-            t.period.as_nanos(),
-            t.deadline.as_nanos(),
-            t.cost.as_nanos()
-        );
-        if !t.offset.is_zero() {
-            let _ = write!(out, " {}ns", t.offset.as_nanos());
-        }
-        out.push('\n');
-    }
-    for (task, job, delta) in desc.faults.entries() {
-        let (kind, amount) = if delta.is_negative() {
-            ("underrun", -delta)
-        } else {
-            ("overrun", delta)
-        };
-        let _ = writeln!(
-            out,
-            "fault {} job {} {} {}ns",
-            name_of(task),
-            job,
-            kind,
-            amount.as_nanos()
-        );
-    }
+    let faults = desc
+        .faults
+        .entries()
+        .map(|(task, job, delta)| FaultEntry { task, job, delta });
+    SystemLines::render(&mut out, false, &desc.tasks, faults);
     out
 }
 
@@ -209,6 +125,7 @@ fault tau1 job 5 overrun 40ms
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtft_core::time::Duration;
 
     #[test]
     fn parses_paper_scenario() {
@@ -223,6 +140,7 @@ mod tests {
 
     #[test]
     fn duration_suffixes() {
+        let parse_duration = str::parse::<Duration>;
         assert_eq!(parse_duration("5").unwrap(), Duration::millis(5));
         assert_eq!(parse_duration("5ms").unwrap(), Duration::millis(5));
         assert_eq!(parse_duration("5us").unwrap(), Duration::micros(5));
@@ -266,6 +184,46 @@ mod tests {
         assert!(err.message.contains("duplicate task name"));
         let err = parse("fault a job 0 sideways 5ms\n").unwrap_err();
         assert!(err.message.contains("unknown task") || err.message.contains("unknown fault"));
+    }
+
+    #[test]
+    fn nonpositive_and_overflowing_faults_are_line_errors() {
+        const MAX: &str = "9223372036854775807ns";
+        for (faults, message) in [
+            (
+                "fault a job 0 overrun 0ms\n",
+                "overrun amount `0ms` must be greater than zero",
+            ),
+            (
+                "fault a job 0 overrun -5ms\n",
+                "overrun amount `-5ms` must be greater than zero",
+            ),
+            (
+                &format!("fault a job 0 overrun {MAX}\nfault a job 0 overrun {MAX}\n"),
+                "summed fault delta of `a` job 0 overflows",
+            ),
+        ] {
+            let err = parse(&format!("a 1 10 10 2\n{faults}")).unwrap_err();
+            assert_eq!(err.message, message, "{faults}");
+            assert_eq!(err.line, faults.lines().count() + 1, "{faults}");
+        }
+        // Repeats that fit still sum, and a cancelled job is fault-free.
+        let desc = parse(&format!(
+            "a 1 10 10 2\nfault a job 0 overrun {MAX}\nfault a job 0 underrun 1ns\n\
+             fault a job 1 overrun 3ms\nfault a job 1 underrun 3ms\n"
+        ))
+        .unwrap();
+        assert_eq!(
+            desc.faults.delta(TaskId(1), 0),
+            Duration::nanos(i64::MAX - 1)
+        );
+        assert_eq!(desc.faults.len(), 1);
+        // The task line's arity message names no keyword.
+        let err = parse("a 1 10 10\n").unwrap_err();
+        assert_eq!(
+            err.message,
+            "expected: <name> <priority> <period> <deadline> <cost> [offset]"
+        );
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   (↑ releases, ↓ deadlines, ◆ detectors, `>` WCRTs);
 //! * [`merge`] — core-tagged recombination of per-core traces from
 //!   partitioned multiprocessor runs (`rtft-part`);
-//! * [`csv`] — spreadsheet export;
 //! * [`clock`] — a virtual `RDTSC` for experiments that reproduce the
 //!   cycle-count measurement path.
 
@@ -29,7 +28,6 @@
 pub mod capture;
 pub mod chart;
 pub mod clock;
-pub mod csv;
 pub mod diff;
 pub mod event;
 pub mod format;

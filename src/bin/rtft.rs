@@ -123,10 +123,11 @@
 use rtft::prelude::*;
 use rtft_core::diag::{self, Diagnostic};
 use rtft_core::query::{
-    parse_batch, render_responses_json, render_responses_text, FaultEntry, Query, Response,
+    parse_batch, parse_cores, render_responses_json, render_responses_text, FaultEntry, Placement,
+    Query, Response,
 };
 use rtft_core::time::{Duration, Instant};
-use rtft_taskgen::parser::{parse as parse_tasks, parse_duration};
+use rtft_taskgen::parser::parse as parse_tasks;
 use std::process::ExitCode;
 
 /// A command failure carrying its exit code: 1 for operational errors
@@ -209,31 +210,51 @@ fn exit_on_oracle(result: Result<bool, CliError>) -> ExitCode {
 
 fn load_system(path: &str) -> Result<(TaskSet, FaultPlan), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let desc = parse_tasks(&text).map_err(|e| e.to_string())?;
+    parse_system(&text)
+}
+
+/// A task file's validated set and fault plan.
+fn parse_system(text: &str) -> Result<(TaskSet, FaultPlan), String> {
+    let desc = parse_tasks(text).map_err(|e| e.to_string())?;
     let set = desc.task_set().map_err(|e| e.to_string())?;
     Ok((set, desc.faults))
 }
 
-/// Parse `--cores` when given.
-fn cores_flag(args: &[String]) -> Result<Option<usize>, String> {
-    flag_value(args, "--cores")
-        .map(|c| rtft::core::query::parse_cores(c).map_err(|e| format!("--cores: {e}")))
-        .transpose()
+/// The system flags of a task-file command: `--policy` (fp), `--cores`
+/// (1), `--alloc` (ffd) and `--placement` (partitioned). A replayed
+/// capture's header fills what the flags leave unset; it records no
+/// allocator.
+struct SystemFlags {
+    policy: PolicyKind,
+    cores: usize,
+    alloc: rtft::part::AllocPolicy,
+    placement: Placement,
 }
 
-/// Parse the shared `--cores` / `--alloc` pair (1 core, ffd by default).
-fn cores_and_alloc(args: &[String]) -> Result<(usize, rtft::part::AllocPolicy), String> {
-    let cores = cores_flag(args)?.unwrap_or(1);
-    let alloc: rtft::part::AllocPolicy = flag_value(args, "--alloc").unwrap_or("ffd").parse()?;
-    Ok((cores, alloc))
-}
-
-/// Parse `--placement` (partitioned by default).
-fn placement_flag(args: &[String]) -> Result<rtft_core::query::Placement, String> {
-    flag_value(args, "--placement")
+fn system_flags(
+    args: &[String],
+    header: Option<&rtft::trace::TraceHeader>,
+) -> Result<SystemFlags, String> {
+    let policy = flag_value(args, "--policy")
+        .or_else(|| header.map(|h| h.policy.as_str()))
+        .unwrap_or("fp")
+        .parse()?;
+    let cores = match flag_value(args, "--cores") {
+        Some(c) => parse_cores(c).map_err(|e| format!("--cores: {e}"))?,
+        None => header.map_or(1, |h| h.cores),
+    };
+    let alloc = flag_value(args, "--alloc").unwrap_or("ffd").parse()?;
+    let placement = flag_value(args, "--placement")
+        .or_else(|| header.map(|h| h.placement.as_str()))
         .unwrap_or("partitioned")
         .parse()
-        .map_err(|e: String| format!("bad --placement: {e}"))
+        .map_err(|e: String| format!("bad --placement: {e}"))?;
+    Ok(SystemFlags {
+        policy,
+        cores,
+        alloc,
+        placement,
+    })
 }
 
 /// `rtft analyze` is sugar over the query plane: the task file becomes
@@ -243,15 +264,18 @@ fn placement_flag(args: &[String]) -> Result<rtft_core::query::Placement, String
 fn cmd_analyze(args: &[String]) -> CliResult {
     let path = args.first().ok_or("analyze: missing task file")?;
     let (set, _) = load_system(path)?;
-    let policy: PolicyKind = flag_value(args, "--policy").unwrap_or("fp").parse()?;
-    let (cores, alloc) = cores_and_alloc(args)?;
-    let placement = placement_flag(args)?;
+    let SystemFlags {
+        policy,
+        cores,
+        alloc,
+        placement,
+    } = system_flags(args, None)?;
     let spec = SystemSpec::uniprocessor(path.clone(), set.clone())
         .with_policy(policy)
         .with_cores(cores, alloc)
         .with_placement(placement);
     if cores > 1 {
-        if placement == rtft_core::query::Placement::Global {
+        if placement == Placement::Global {
             return analyze_global(spec);
         }
         return analyze_partitioned(spec);
@@ -765,42 +789,45 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 }
 
 /// Build the one-job [`rtft::campaign::JobSpec`] behind a task-file
-/// invocation. `run --save-trace`, `trace export` and `replay --spec
-/// <tasks.rtft>` all construct the job here, so a capture's spec hash
-/// (which covers the spec name — the file path as given) matches on
-/// re-import.
-#[allow(clippy::too_many_arguments)]
-fn cli_job(
+/// invocation: the [`system_flags`] plus `--treatment` (system),
+/// `--horizon` (3000ms) and `--jrate`, with a replayed capture's header
+/// filling the unset ones. `run --save-trace`, `trace export` and
+/// `replay --spec <tasks.rtft>` all construct the job here, so a
+/// capture's spec hash (which covers the spec name — the file path as
+/// given) matches on re-import.
+fn task_file_job(
     path: &str,
-    set: &TaskSet,
-    faults: &FaultPlan,
-    policy: PolicyKind,
-    treatment: Treatment,
-    cores: usize,
-    placement: rtft_core::query::Placement,
-    alloc: rtft::part::AllocPolicy,
-    horizon: Instant,
-    jrate: bool,
-) -> rtft::campaign::JobSpec {
-    rtft::campaign::JobSpec {
+    text: &str,
+    args: &[String],
+    header: Option<&rtft::trace::TraceHeader>,
+) -> Result<rtft::campaign::JobSpec, String> {
+    let (set, faults) = parse_system(text)?;
+    let flags = system_flags(args, header)?;
+    let treatment = rtft::campaign::spec::parse_treatment(
+        flag_value(args, "--treatment")
+            .or_else(|| header.map(|h| h.treatment.as_str()))
+            .unwrap_or("system"),
+    )?;
+    let horizon: Duration = flag_value(args, "--horizon").unwrap_or("3000ms").parse()?;
+    Ok(rtft::campaign::JobSpec {
         index: 0,
         set_ordinal: 0,
         set_label: path.to_string(),
-        set: std::sync::Arc::new(set.clone()),
-        policy,
-        cores,
-        placement,
-        alloc,
+        set: std::sync::Arc::new(set),
+        policy: flags.policy,
+        cores: flags.cores,
+        placement: flags.placement,
+        alloc: flags.alloc,
         fault_label: "explicit".to_string(),
-        faults: faults.clone(),
+        faults,
         treatment,
-        platform: if jrate {
+        platform: if args.iter().any(|a| a == "--jrate") {
             rtft::campaign::PlatformSpec::jrate()
         } else {
             rtft::campaign::PlatformSpec::EXACT
         },
-        horizon,
-    }
+        horizon: Instant::EPOCH + horizon,
+    })
 }
 
 /// `rtft run`: a lone run is a one-job campaign — the same execution
@@ -808,29 +835,12 @@ fn cli_job(
 /// Only the rendering follows the placement the workbench chose.
 fn cmd_run(args: &[String]) -> Result<bool, CliError> {
     let path = args.first().ok_or("run: missing task file")?;
-    let (set, faults) = load_system(path)?;
-    let treatment =
-        rtft::campaign::spec::parse_treatment(flag_value(args, "--treatment").unwrap_or("system"))?;
-    let policy: PolicyKind = flag_value(args, "--policy").unwrap_or("fp").parse()?;
-    let horizon = parse_duration(flag_value(args, "--horizon").unwrap_or("3000ms"))?;
-    let (cores, alloc) = cores_and_alloc(args)?;
-    let placement = placement_flag(args)?;
-    let jrate = args.iter().any(|a| a == "--jrate");
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let job = task_file_job(path, &text, args, None)?;
+    let (cores, alloc) = (job.cores, job.alloc);
     if cores > 1 && flag_value(args, "--svg").is_some() {
         return Err("--svg is not supported with --cores > 1".into());
     }
-    let job = cli_job(
-        path,
-        &set,
-        &faults,
-        policy,
-        treatment,
-        cores,
-        placement,
-        alloc,
-        Instant::EPOCH + horizon,
-        jrate,
-    );
     let SingleRun {
         mut bench,
         run,
@@ -840,15 +850,12 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
     let (from, to) = match flag_value(args, "--window") {
         Some(w) => {
             let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
-            (
-                Instant::EPOCH + parse_duration(a)?,
-                Instant::EPOCH + parse_duration(b)?,
-            )
+            (Instant::EPOCH + a.parse()?, Instant::EPOCH + b.parse()?)
         }
-        None => (Instant::EPOCH, Instant::EPOCH + horizon),
+        None => (Instant::EPOCH, job.horizon),
     };
     let cell = match flag_value(args, "--cell") {
-        Some(c) => parse_duration(c)?,
+        Some(c) => c.parse()?,
         None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
     };
     // One chart per part: the whole set (on a global run, jobs may
@@ -888,7 +895,7 @@ fn cmd_run(args: &[String]) -> Result<bool, CliError> {
         // One core (`--svg` refuses more): the run's one part.
         let log = &run.parts().next().expect("a run has a part").log;
         let cfg = rtft::trace::SvgConfig::window(from, to);
-        std::fs::write(file, rtft::trace::render_svg(log, &set, &cfg))
+        std::fs::write(file, rtft::trace::render_svg(log, &job.set, &cfg))
             .map_err(|e| format!("write {file}: {e}"))?;
         println!("SVG chart written to {file}");
     }
@@ -1001,15 +1008,12 @@ fn cmd_chart(args: &[String]) -> CliResult {
     let (from, to) = match flag_value(args, "--window") {
         Some(w) => {
             let (a, b) = w.split_once("..").ok_or("window: expected <from>..<to>")?;
-            (
-                Instant::EPOCH + parse_duration(a)?,
-                Instant::EPOCH + parse_duration(b)?,
-            )
+            (Instant::EPOCH + a.parse()?, Instant::EPOCH + b.parse()?)
         }
         None => (Instant::EPOCH, end),
     };
     let cell = match flag_value(args, "--cell") {
-        Some(c) => parse_duration(c)?,
+        Some(c) => c.parse()?,
         None => Duration::nanos((((to - from).as_nanos()) / 120).max(1)),
     };
     let cfg = ChartConfig::window(from, to).with_cell(cell);
@@ -1043,38 +1047,7 @@ fn job_for_spec(
     if lint_kind(path, &text) == LintKind::Campaign {
         return rtft::replay::job_from_campaign(&text).map_err(|e| e.to_string().into());
     }
-    let desc = parse_tasks(&text).map_err(|e| e.to_string())?;
-    let set = desc.task_set().map_err(|e| e.to_string())?;
-    let policy: PolicyKind = flag_value(args, "--policy")
-        .or_else(|| header.map(|h| h.policy.as_str()))
-        .unwrap_or("fp")
-        .parse()?;
-    let treatment = rtft::campaign::spec::parse_treatment(
-        flag_value(args, "--treatment")
-            .or_else(|| header.map(|h| h.treatment.as_str()))
-            .unwrap_or("system"),
-    )?;
-    let cores = cores_flag(args)?.unwrap_or_else(|| header.map_or(1, |h| h.cores));
-    let alloc: rtft::part::AllocPolicy = flag_value(args, "--alloc").unwrap_or("ffd").parse()?;
-    let placement: rtft_core::query::Placement = flag_value(args, "--placement")
-        .or_else(|| header.map(|h| h.placement.as_str()))
-        .unwrap_or("partitioned")
-        .parse()
-        .map_err(|e: String| format!("bad placement: {e}"))?;
-    let horizon = parse_duration(flag_value(args, "--horizon").unwrap_or("3000ms"))?;
-    let jrate = args.iter().any(|a| a == "--jrate");
-    Ok(cli_job(
-        path,
-        &set,
-        &desc.faults,
-        policy,
-        treatment,
-        cores,
-        placement,
-        alloc,
-        Instant::EPOCH + horizon,
-        jrate,
-    ))
+    task_file_job(path, &text, args, header).map_err(CliError::from)
 }
 
 /// `rtft trace`: capture persistence — `export` re-runs a system

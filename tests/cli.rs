@@ -131,6 +131,48 @@ fn bad_usage_fails_cleanly() {
     assert_eq!(out.status.code(), Some(1));
 }
 
+#[test]
+fn nonpositive_fault_amounts_fail_cleanly_in_every_format() {
+    // The same zero overrun as a task file, a campaign spec and a query
+    // batch: a line-numbered RT000 error, never a panic.
+    let dir = temp_dir("zero-fault");
+    let tasks = dir.join("zero.rtft");
+    std::fs::write(&tasks, "a 9 100ms 100ms 10ms\nfault a job 0 overrun 0ms\n").unwrap();
+    let spec = dir.join("zero.campaign");
+    std::fs::write(
+        &spec,
+        "campaign zero\ntask a 9 100ms 100ms 10ms\nfault a job 0 overrun 0ms\n",
+    )
+    .unwrap();
+    let batch = dir.join("zero.query");
+    std::fs::write(
+        &batch,
+        "system zero\ntask a 9 100ms 100ms 10ms\nfault a job 0 overrun 0ms\nquery wcrt\n",
+    )
+    .unwrap();
+    for (args, exit) in [
+        (["lint", tasks.to_str().unwrap()], 4),
+        (["lint", spec.to_str().unwrap()], 4),
+        (["lint", batch.to_str().unwrap()], 4),
+        (["run", tasks.to_str().unwrap()], 1),
+        (["campaign", spec.to_str().unwrap()], 1),
+        (["query", batch.to_str().unwrap()], 4),
+    ] {
+        let out = rtft().args(args).output().unwrap();
+        let text = format!(
+            "{}{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(out.status.code(), Some(exit), "{args:?}: {text}");
+        assert!(
+            text.contains("overrun amount `0ms` must be greater than zero"),
+            "{text}"
+        );
+        assert!(!text.contains("panicked"), "{args:?}: {text}");
+    }
+}
+
 const CAMPAIGN_SPEC: &str = "\
 campaign cli-smoke
 horizon 1300ms
@@ -502,6 +544,11 @@ fn placement_flag_routes_analyze_and_run_to_the_global_plane() {
         .output()
         .unwrap();
     assert_eq!(bad.status.code(), Some(1));
+    let stderr = String::from_utf8(bad.stderr).unwrap();
+    assert!(
+        stderr.contains("bad --placement: unknown placement `bogus`"),
+        "{stderr}"
+    );
 }
 
 #[test]

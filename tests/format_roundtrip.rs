@@ -86,7 +86,7 @@ proptest! {
     #[test]
     fn task_file_roundtrip(
         params in proptest::collection::vec((1i64..1000, 1i64..100, 0i64..500), 1..8),
-        overruns in proptest::collection::vec((0usize..8, 0u64..10, 1i64..50), 0..5),
+        faults in proptest::collection::vec((0usize..8, 0u64..10, -49i64..50), 0..5),
     ) {
         let mut text = String::new();
         for (i, (period, cost, offset)) in params.iter().enumerate() {
@@ -96,9 +96,15 @@ proptest! {
                 i + 1, period, period, cost, offset
             ));
         }
-        for (t, job, amount) in &overruns {
+        for (t, job, amount) in &faults {
             let t = t % params.len();
-            text.push_str(&format!("fault task{t} job {job} overrun {amount}ms\n"));
+            // Negative draws are underruns; 0 becomes a 50 ms overrun.
+            let (kind, amount) = match *amount {
+                a if a < 0 => ("underrun", -a),
+                0 => ("overrun", 50),
+                a => ("overrun", a),
+            };
+            text.push_str(&format!("fault task{t} job {job} {kind} {amount}ms\n"));
         }
         let desc = rtft::taskgen::parse(&text).unwrap();
         let serialized = rtft::taskgen::to_text(&desc);
