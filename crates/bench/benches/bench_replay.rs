@@ -5,7 +5,8 @@
 //!   trace before any checking happens;
 //! * `replay_render` — the inverse direction, for the export path;
 //! * `replay_step` — step an imported capture against pre-resolved
-//!   bounds (`replay_with`, the hot path of campaign-scale replays);
+//!   bounds (`replay_with`, the hot path of campaign-scale replays), on
+//!   the flat one-core capture and on a merged 2-core partitioned one;
 //! * `replay_end_to_end` — `replay()` including bounds resolution, what
 //!   one `rtft replay` invocation costs after parsing;
 //! * `stream_sink/<buffered|streamed>` — the same 64-task detect
@@ -40,6 +41,12 @@ platform jrate
 
 fn bench_replay(c: &mut Criterion) {
     let job = job_from_campaign(LONG_PAPER_JOB).expect("bench job parses");
+    // The same system spread over two partitioned cores: a merged
+    // (core-tagged) capture body with events on both.
+    let merged_job = job_from_campaign(&LONG_PAPER_JOB.replace("cores 1", "cores 2\nalloc wfd"))
+        .expect("merged bench job parses");
+    let merged = capture_job(&merged_job).expect("merged bench job captures");
+    let merged_bounds = resolve_bounds(&merged_job).expect("merged bounds resolve");
     let capture = capture_job(&job).expect("bench job captures");
     let text = capture.render_text();
     let events = capture.len() as u64;
@@ -63,6 +70,18 @@ fn bench_replay(c: &mut Criterion) {
     group.throughput(Throughput::Elements(events));
     group.bench_function(BenchmarkId::from_parameter("replay_with"), |b| {
         b.iter(|| replay_with(black_box(&capture), black_box(&job), black_box(&bounds)))
+    });
+    group.finish();
+    let mut group = c.benchmark_group("replay_step");
+    group.throughput(Throughput::Elements(merged.len() as u64));
+    group.bench_function(BenchmarkId::from_parameter("replay_with_merged"), |b| {
+        b.iter(|| {
+            replay_with(
+                black_box(&merged),
+                black_box(&merged_job),
+                black_box(&merged_bounds),
+            )
+        })
     });
     group.finish();
 

@@ -397,6 +397,12 @@ impl Instant {
         self.0.checked_add(d.as_nanos()).map(Instant)
     }
 
+    /// Saturating addition of a span.
+    #[inline]
+    pub fn saturating_add(self, d: Duration) -> Instant {
+        Instant(self.0.saturating_add(d.as_nanos()))
+    }
+
     /// Later of two instants.
     #[inline]
     pub fn max(self, other: Instant) -> Instant {

@@ -27,14 +27,14 @@
 //! including the out-of-allowance 40 ms injection — replay clean;
 //! divergences mean the trace and the spec disagree.
 
-use crate::bounds::{resolve_bounds, Certification, ReplayBounds};
+use crate::bounds::{resolve_bounds, Certification, ReplayBounds, TaskBounds};
 use crate::ReplayError;
 use rtft_campaign::JobSpec;
 use rtft_core::task::TaskId;
 use rtft_core::time::{Duration, Instant};
 use rtft_ft::verdict::Verdict;
-use rtft_trace::{EventKind, TraceCapture, TraceLog};
-use std::collections::BTreeMap;
+use rtft_trace::jobs::{Indexed, JobTable};
+use rtft_trace::{CaptureEvents, EventKind, JobIndex, TraceCapture, TraceEvent, TraceStats};
 
 /// Why an event diverged from the analysis plane.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -154,13 +154,26 @@ impl ReplayReport {
     }
 }
 
-#[derive(Default)]
+/// One job's replay state. A job enters the table at its release, so
+/// every entry carries its release instant.
 struct JobState {
-    released_at: Option<Instant>,
+    job: JobIndex,
+    released_at: Instant,
     ended: bool,
     stopped: bool,
     detected: bool,
 }
+
+impl Indexed for JobState {
+    fn index(&self) -> JobIndex {
+        self.job
+    }
+}
+
+/// Replay's job states in the table [`TraceStats`] builds on; each
+/// task's meta is its bounds (`None` outside the job's set), looked up
+/// once at its first release.
+type Jobs<'b> = JobTable<JobState, Option<&'b TaskBounds>>;
 
 /// Replay `capture` against the analysis of `job`: resolve the bounds,
 /// then step every event to the first divergence.
@@ -175,10 +188,21 @@ pub fn replay(capture: &TraceCapture, job: &JobSpec) -> Result<ReplayReport, Rep
 
 /// [`replay`] against bounds the caller already resolved — the hot path
 /// for replaying many captures of one spec (benchmarks, campaign
-/// digests).
+/// digests). The capture's events are read in place, never copied.
 pub fn replay_with(capture: &TraceCapture, job: &JobSpec, bounds: &ReplayBounds) -> ReplayReport {
-    let events = capture.events();
-    let mut state: BTreeMap<(TaskId, u64), JobState> = BTreeMap::new();
+    match capture.events() {
+        CaptureEvents::Flat(events) => step_stream(events, job, bounds),
+        CaptureEvents::Merged(events) => step_stream(events, job, bounds),
+    }
+}
+
+/// [`replay_with`] over one body's events.
+fn step_stream<E: AsRef<TraceEvent>>(
+    events: &[E],
+    job: &JobSpec,
+    bounds: &ReplayBounds,
+) -> ReplayReport {
+    let mut jobs = Jobs::new();
     let mut divergence: Option<Divergence> = None;
     let mut checked = 0usize;
 
@@ -190,17 +214,18 @@ pub fn replay_with(capture: &TraceCapture, job: &JobSpec, bounds: &ReplayBounds)
     // divergence indices keep pointing into the rendered stream.
     let mut group = 0;
     while group < events.len() {
-        let at = events[group].event.at;
+        let at = events[group].as_ref().at;
         let mut end = group;
-        while end < events.len() && events[end].event.at == at {
+        while end < events.len() && events[end].as_ref().at == at {
             end += 1;
         }
         for phase in 0..3u8 {
-            for (index, ce) in events.iter().enumerate().take(end).skip(group) {
-                if step_phase(ce.event.kind) != phase {
+            for (index, e) in events.iter().enumerate().take(end).skip(group) {
+                let kind = e.as_ref().kind;
+                if step_phase(kind) != phase {
                     continue;
                 }
-                let verdict = step_event(&mut state, bounds, ce.event.kind, at, &mut checked);
+                let verdict = step_event(&mut jobs, bounds, kind, at, &mut checked);
                 if divergence.is_none() {
                     if let Some(kind) = verdict {
                         divergence = Some(Divergence { index, at, kind });
@@ -211,12 +236,12 @@ pub fn replay_with(capture: &TraceCapture, job: &JobSpec, bounds: &ReplayBounds)
         group = end;
     }
 
-    let log: TraceLog = events.iter().map(|ce| ce.event).collect();
+    let stats = TraceStats::from_events(events.iter().map(AsRef::as_ref), Some(&job.set));
     ReplayReport {
         events: events.len(),
         checked,
         divergence,
-        verdict: Verdict::from_log(&job.set, &log),
+        verdict: Verdict::new(&job.set, &stats),
         certification: bounds.certification.clone(),
     }
 }
@@ -235,30 +260,35 @@ fn step_phase(kind: EventKind) -> u8 {
 
 /// Step one event against the job-state machine, returning the
 /// divergence it provokes (if any).
-fn step_event(
-    state: &mut BTreeMap<(TaskId, u64), JobState>,
-    bounds: &ReplayBounds,
+fn step_event<'b>(
+    jobs: &mut Jobs<'b>,
+    bounds: &'b ReplayBounds,
     kind: EventKind,
-    at: rtft_core::time::Instant,
+    at: Instant,
     checked: &mut usize,
 ) -> Option<DivergenceKind> {
     match kind {
         EventKind::JobRelease { task, job: j } => {
-            let slot = state.entry((task, j)).or_default();
-            if slot.released_at.is_some() {
-                Some(DivergenceKind::OrderMismatch {
-                    detail: format!("{task:?} job {j} released twice"),
-                })
-            } else {
-                slot.released_at = Some(at);
-                None
-            }
+            let mut fresh = false;
+            jobs.task(task, || bounds.of(task)).slot(j, || {
+                fresh = true;
+                JobState {
+                    job: j,
+                    released_at: at,
+                    ended: false,
+                    stopped: false,
+                    detected: false,
+                }
+            });
+            (!fresh).then(|| DivergenceKind::OrderMismatch {
+                detail: format!("{task:?} job {j} released twice"),
+            })
         }
         EventKind::JobStart { task, job: j }
         | EventKind::Resumed { task, job: j }
         | EventKind::Preempted { task, job: j, .. } => {
             let tag = kind.tag();
-            match state.get(&(task, j)) {
+            match jobs.get_task(task).and_then(|t| t.get_mut(j)) {
                 None => Some(DivergenceKind::OrderMismatch {
                     detail: format!("`{tag}` for unreleased {task:?} job {j}"),
                 }),
@@ -271,65 +301,73 @@ fn step_event(
                 Some(_) => None,
             }
         }
-        EventKind::JobEnd { task, job: j } => match state.get_mut(&(task, j)) {
-            None => Some(DivergenceKind::OrderMismatch {
-                detail: format!("`end` for unreleased {task:?} job {j}"),
-            }),
-            Some(s) if s.ended => Some(DivergenceKind::OrderMismatch {
-                detail: format!("{task:?} job {j} ended twice"),
-            }),
-            Some(s) if s.stopped => Some(DivergenceKind::OrderMismatch {
-                detail: format!("`end` after {task:?} job {j} was stopped"),
-            }),
-            Some(s) => {
-                let released = s.released_at.expect("released jobs carry their instant");
-                let detected = s.detected;
-                s.ended = true;
-                *checked += 1;
-                let response = at - released;
-                check_completion(bounds, task, j, response, detected)
+        EventKind::JobEnd { task, job: j } => {
+            let (b, state) = match jobs.get_task(task) {
+                Some(t) => (t.meta, t.get_mut(j)),
+                None => (None, None),
+            };
+            match state {
+                None => Some(DivergenceKind::OrderMismatch {
+                    detail: format!("`end` for unreleased {task:?} job {j}"),
+                }),
+                Some(s) if s.ended => Some(DivergenceKind::OrderMismatch {
+                    detail: format!("{task:?} job {j} ended twice"),
+                }),
+                Some(s) if s.stopped => Some(DivergenceKind::OrderMismatch {
+                    detail: format!("`end` after {task:?} job {j} was stopped"),
+                }),
+                Some(s) => {
+                    s.ended = true;
+                    *checked += 1;
+                    check_completion(b, task, j, at - s.released_at, s.detected)
+                }
             }
-        },
-        EventKind::TaskStopped { task, job: j } => match state.get_mut(&(task, j)) {
-            None => Some(DivergenceKind::OrderMismatch {
-                detail: format!("`stop` for unreleased {task:?} job {j}"),
-            }),
-            Some(s) if s.ended => Some(DivergenceKind::OrderMismatch {
-                detail: format!("`stop` after {task:?} job {j} already ended"),
-            }),
-            Some(s) if s.stopped => Some(DivergenceKind::OrderMismatch {
-                detail: format!("{task:?} job {j} stopped twice"),
-            }),
-            Some(s) => {
-                let released = s.released_at.expect("released jobs carry their instant");
-                s.stopped = true;
-                let latency = at - released;
-                let threshold = bounds.of(task).and_then(|b| b.threshold);
-                if !bounds.stops {
-                    Some(DivergenceKind::UncertifiedStop {
-                        task,
-                        job: j,
-                        latency,
-                        threshold: None,
-                    })
-                } else {
-                    match threshold {
-                        // Stops fire at the (quantized, allowance-
-                        // extended) detection line — never before
-                        // the exact threshold.
-                        Some(t) if latency < t => Some(DivergenceKind::UncertifiedStop {
+        }
+        EventKind::TaskStopped { task, job: j } => {
+            let (b, state) = match jobs.get_task(task) {
+                Some(t) => (t.meta, t.get_mut(j)),
+                None => (None, None),
+            };
+            match state {
+                None => Some(DivergenceKind::OrderMismatch {
+                    detail: format!("`stop` for unreleased {task:?} job {j}"),
+                }),
+                Some(s) if s.ended => Some(DivergenceKind::OrderMismatch {
+                    detail: format!("`stop` after {task:?} job {j} already ended"),
+                }),
+                Some(s) if s.stopped => Some(DivergenceKind::OrderMismatch {
+                    detail: format!("{task:?} job {j} stopped twice"),
+                }),
+                Some(s) => {
+                    s.stopped = true;
+                    let latency = at - s.released_at;
+                    let threshold = b.and_then(|b| b.threshold);
+                    if !bounds.stops {
+                        Some(DivergenceKind::UncertifiedStop {
                             task,
                             job: j,
                             latency,
-                            threshold: Some(t),
-                        }),
-                        _ => None,
+                            threshold: None,
+                        })
+                    } else {
+                        match threshold {
+                            // Stops fire at the (quantized, allowance-
+                            // extended) detection line — never before
+                            // the exact threshold.
+                            Some(t) if latency < t => Some(DivergenceKind::UncertifiedStop {
+                                task,
+                                job: j,
+                                latency,
+                                threshold: Some(t),
+                            }),
+                            _ => None,
+                        }
                     }
                 }
             }
-        },
+        }
         EventKind::FaultDetected { task, job: j } => {
-            if let Some(s) = state.get_mut(&(task, j)) {
+            if let Some(s) = jobs.get_task(task).and_then(|t| t.get_mut(j)) {
                 s.detected = true;
             }
             None
@@ -351,13 +389,13 @@ fn step_event(
 /// completion with no preceding `fault` event means the detectors the
 /// spec prescribes were not running).
 fn check_completion(
-    bounds: &ReplayBounds,
+    bounds: Option<&TaskBounds>,
     task: TaskId,
     job: u64,
     response: Duration,
     detected: bool,
 ) -> Option<DivergenceKind> {
-    let b = bounds.of(task)?;
+    let b = bounds?;
     if let Some(bound) = b.certified {
         if response > bound {
             return Some(DivergenceKind::MissedThreshold {

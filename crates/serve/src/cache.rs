@@ -85,6 +85,17 @@ impl SessionCache {
         let mut inner = self.inner.lock().expect("session cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
+        // A session whose lock is poisoned (a handler panicked while
+        // holding it) may hold half-updated memo state: evict it, and
+        // answer this lookup as a miss.
+        if inner
+            .entries
+            .get(&key)
+            .is_some_and(|e| e.bench.is_poisoned())
+        {
+            inner.entries.remove(&key);
+            inner.evictions += 1;
+        }
         if let Some(entry) = inner.entries.get_mut(&key) {
             entry.last_used = tick;
             let bench = Arc::clone(&entry.bench);
@@ -192,6 +203,28 @@ mod tests {
         assert_eq!((c.live, c.evictions), (2, 1));
         assert!(cache.get_or_insert(&spec("a", 10)).1, "a stayed warm");
         assert!(!cache.get_or_insert(&spec("b", 10)).1, "b was evicted");
+    }
+
+    #[test]
+    fn a_poisoned_session_is_evicted_not_reused() {
+        let cache = SessionCache::new(4);
+        let (first, _) = cache.get_or_insert(&spec("s", 10));
+        let held = Arc::clone(&first);
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.lock().unwrap();
+            panic!("handler panicked while holding the session");
+        })
+        .join();
+        assert!(panicked.is_err() && first.is_poisoned());
+        let (second, warm) = cache.get_or_insert(&spec("s", 10));
+        assert!(!warm, "a poisoned session is a miss");
+        assert!(!Arc::ptr_eq(&first, &second) && !second.is_poisoned());
+        let c = cache.counters();
+        assert_eq!((c.live, c.hits, c.misses, c.evictions), (1, 0, 2, 1));
+        assert!(
+            cache.get_or_insert(&spec("s", 10)).1,
+            "the fresh one is warm"
+        );
     }
 
     #[test]

@@ -34,10 +34,11 @@ pub fn run_batch_fanned(
 ) -> Result<Vec<Response>, AnalysisError> {
     let threads = threads.clamp(1, queries.len().max(1));
     if threads == 1 || queries.len() < 2 {
-        return shared
-            .lock()
-            .expect("workbench poisoned")
-            .run_batch(queries);
+        // A poisoned session is not trusted (see below).
+        return match shared.lock() {
+            Ok(mut bench) => bench.run_batch(queries),
+            Err(_) => Workbench::new(spec.clone()).run_batch(queries),
+        };
     }
 
     // Same cheap-first ordering run_batch uses, so early feasibility
@@ -59,14 +60,25 @@ pub fn run_batch_fanned(
                 // throwaway ones. Each worker pulls from the shared
                 // cursor until the batch is drained, so a slow query
                 // never idles the other workers.
+                // A cached session a panicking handler left poisoned
+                // may hold half-updated memo state: worker 0 answers on
+                // a throwaway one instead, and the cache evicts it.
                 let mut own;
                 let mut guard;
-                let bench: &mut Workbench = if worker == 0 {
-                    guard = shared.lock().expect("workbench poisoned");
-                    &mut guard
+                let locked = if worker == 0 {
+                    shared.lock().ok()
                 } else {
-                    own = Workbench::new(spec.clone());
-                    &mut own
+                    None
+                };
+                let bench: &mut Workbench = match locked {
+                    Some(locked) => {
+                        guard = locked;
+                        &mut guard
+                    }
+                    None => {
+                        own = Workbench::new(spec.clone());
+                        &mut own
+                    }
                 };
                 loop {
                     let next = cursor.fetch_add(1, Ordering::Relaxed);

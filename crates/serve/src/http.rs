@@ -9,7 +9,6 @@
 //! only (no chunked encoding).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 
 /// Cap on the request line plus all header lines together. A client
 /// that streams an unbounded header section is cut off here instead of
@@ -77,15 +76,15 @@ impl From<std::io::Error> for ReadError {
     }
 }
 
-/// Read one request from the stream, enforcing the head-size cap and
-/// `max_body`.
+/// Read one request from the stream (a socket, or any byte source),
+/// enforcing the head-size cap and `max_body`.
 ///
 /// # Errors
 /// [`ReadError`] — see its variants for the HTTP status each maps to.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, ReadError> {
+pub fn read_request<R: Read>(stream: &mut R, max_body: usize) -> Result<Request, ReadError> {
     let mut reader = BufReader::new(stream);
     let mut head_bytes = 0usize;
-    let mut read_line = |reader: &mut BufReader<&mut TcpStream>| -> Result<String, ReadError> {
+    let mut read_line = |reader: &mut BufReader<&mut R>| -> Result<String, ReadError> {
         let mut buf = Vec::new();
         // Bound each line read by what is left of the head budget.
         let mut limited = reader.take((MAX_HEAD_BYTES - head_bytes + 1) as u64);
@@ -186,7 +185,7 @@ pub fn reason(status: u16) -> &'static str {
 /// # Errors
 /// Propagates socket write failures.
 pub fn write_stream_head(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
 ) -> std::io::Result<()> {
@@ -203,7 +202,7 @@ pub fn write_stream_head(
 /// # Errors
 /// Propagates socket write failures.
 pub fn write_response(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &[u8],

@@ -35,7 +35,6 @@
 //! by then.
 
 use std::io::Write;
-use std::net::TcpStream;
 
 use rtft_core::diag::{self, Diagnostic};
 use rtft_part::workbench::Workbench;
@@ -44,7 +43,7 @@ use rtft_trace::TraceEvent;
 use crate::http::{write_response, write_stream_head, Request};
 
 /// Answer 422 with rejection diagnostics, one line each (or JSON).
-fn reject(stream: &mut TcpStream, diags: &[Diagnostic], json: bool) -> u16 {
+fn reject(stream: &mut impl Write, diags: &[Diagnostic], json: bool) -> u16 {
     let (ct, body) = if json {
         ("application/json", diag::render_json(diags))
     } else {
@@ -59,7 +58,7 @@ fn reject(stream: &mut TcpStream, diags: &[Diagnostic], json: bool) -> u16 {
 
 /// Handle one `POST /trace`, writing the whole response (head and
 /// streamed body) itself. Returns the status code for the stats plane.
-pub(crate) fn handle_trace_stream(stream: &mut TcpStream, request: &Request) -> u16 {
+pub(crate) fn handle_trace_stream(stream: &mut impl Write, request: &Request) -> u16 {
     let json = request.wants_json();
     let Ok(text) = std::str::from_utf8(&request.body) else {
         let _ = write_response(stream, 400, "text/plain", b"body is not UTF-8\n");

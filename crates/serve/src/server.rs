@@ -3,12 +3,15 @@
 //! One listener thread polls a non-blocking accept and feeds
 //! connections over an mpsc channel to a fixed pool of worker threads;
 //! each worker reads one request, routes it, and closes the
-//! connection. Shutdown (`POST /shutdown` or [`ServerHandle::shutdown`])
+//! connection. A handler that panics costs its request a 500 (when no
+//! response byte was written yet), never its worker. Shutdown (`POST /shutdown` or [`ServerHandle::shutdown`])
 //! raises a flag, the listener drops the channel sender, and the
 //! workers drain what was already accepted before exiting — a graceful
 //! drain with no dropped in-flight requests.
 
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -16,6 +19,7 @@ use std::time::Instant;
 
 use rtft_core::diag;
 use rtft_core::query::{parse_batch, render_responses_json, render_responses_text, Response};
+use rtft_part::workbench::Workbench;
 
 use crate::cache::SessionCache;
 use crate::fan::run_batch_fanned;
@@ -128,7 +132,11 @@ impl Server {
                 let rx = Arc::clone(&rx);
                 let state = &state;
                 let cfg = &cfg;
-                scope.spawn(move || worker_loop(&rx, state, cfg));
+                scope.spawn(move || {
+                    worker_loop(&rx, &state.stats, |conn| {
+                        handle_connection(conn, state, cfg);
+                    });
+                });
             }
             accept_loop(&listener, &tx, &state);
             // Dropping the sender closes the channel; workers finish
@@ -170,31 +178,69 @@ fn accept_loop(listener: &TcpListener, tx: &Sender<TcpStream>, state: &Shared) {
     }
 }
 
-fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, state: &Shared, cfg: &ServeConfig) {
+/// One accepted connection, which remembers whether any response byte
+/// has been written to it.
+struct Conn {
+    socket: TcpStream,
+    wrote: bool,
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.socket.read(buf)
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.wrote |= !buf.is_empty();
+        self.socket.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.socket.flush()
+    }
+}
+
+/// Serve connections from `rx` with `handle` until the channel closes.
+/// A panic in `handle` is contained to its connection: the client gets
+/// a 500 if nothing was written to it yet, and the worker goes on to
+/// the next connection.
+fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, stats: &ServerStats, handle: impl Fn(&mut Conn)) {
     loop {
         // Hold the receiver lock only for the recv itself.
         let stream = match rx.lock().expect("receiver poisoned").recv() {
             Ok(s) => s,
             Err(_) => return, // channel closed: drain complete
         };
-        handle_connection(stream, state, cfg);
+        let mut conn = Conn {
+            socket: stream,
+            wrote: false,
+        };
+        if catch_unwind(AssertUnwindSafe(|| handle(&mut conn))).is_err() {
+            stats.record_status(500);
+            if !conn.wrote {
+                let body = b"internal error: the request handler panicked\n";
+                let _ = write_response(&mut conn, 500, "text/plain", body);
+            }
+        }
     }
 }
 
-fn handle_connection(mut stream: TcpStream, state: &Shared, cfg: &ServeConfig) {
-    let _ = stream.set_read_timeout(Some(cfg.request_timeout));
-    let _ = stream.set_write_timeout(Some(cfg.request_timeout));
-    let request = match read_request(&mut stream, cfg.max_body) {
+fn handle_connection(stream: &mut Conn, state: &Shared, cfg: &ServeConfig) {
+    let _ = stream.socket.set_read_timeout(Some(cfg.request_timeout));
+    let _ = stream.socket.set_write_timeout(Some(cfg.request_timeout));
+    let request = match read_request(stream, cfg.max_body) {
         Ok(r) => r,
         Err(ReadError::Malformed(m)) => {
             state.stats.record_status(400);
-            let _ = write_response(&mut stream, 400, "text/plain", format!("{m}\n").as_bytes());
+            let _ = write_response(stream, 400, "text/plain", format!("{m}\n").as_bytes());
             return;
         }
         Err(ReadError::TooLarge { declared, limit }) => {
             state.stats.record_status(413);
             let body = format!("body of {declared} bytes exceeds the {limit}-byte limit\n");
-            let _ = write_response(&mut stream, 413, "text/plain", body.as_bytes());
+            let _ = write_response(stream, 413, "text/plain", body.as_bytes());
             return;
         }
         // Includes read timeouts: nobody well-formed to answer.
@@ -205,7 +251,7 @@ fn handle_connection(mut stream: TcpStream, state: &Shared, cfg: &ServeConfig) {
     // The live trace route writes its own (close-delimited, per-event
     // flushed) response, so it bypasses the buffered route dispatch.
     if request.method == "POST" && request.path == "/trace" {
-        let status = crate::live::handle_trace_stream(&mut stream, &request);
+        let status = crate::live::handle_trace_stream(stream, &request);
         state.stats.record_status(status);
         return;
     }
@@ -215,7 +261,7 @@ fn handle_connection(mut stream: TcpStream, state: &Shared, cfg: &ServeConfig) {
         state.stats.record_latency(started.elapsed());
     }
     state.stats.record_status(status);
-    let _ = write_response(&mut stream, status, content_type, body.as_bytes());
+    let _ = write_response(stream, status, content_type, body.as_bytes());
 }
 
 /// Dispatch one parsed request to (status, content type, body).
@@ -302,11 +348,13 @@ fn handle_query(
     let (session, warm) = state.cache.get_or_insert(&spec);
     let result = if warm {
         // A warm session answers from memoized state; fanning it out
-        // would only rebuild that state on other threads.
-        session
-            .lock()
-            .expect("workbench poisoned")
-            .run_batch(&queries)
+        // would only rebuild that state on other threads. A session a
+        // panicking handler left poisoned is not trusted: a fresh one
+        // answers, and the cache evicts the poisoned one.
+        match session.lock() {
+            Ok(mut bench) => bench.run_batch(&queries),
+            Err(_) => Workbench::new(spec.clone()).run_batch(&queries),
+        }
     } else {
         run_batch_fanned(&session, &spec, &queries, cfg.threads)
     };
@@ -325,5 +373,67 @@ fn handle_query(
             (200, ct, body)
         }
         Err(e) => (500, "text/plain", format!("analysis failed: {e}\n")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    /// Send `request` on a fresh loopback connection whose server end
+    /// goes to the workers, and read the whole reply.
+    fn exchange(listener: &TcpListener, tx: &Sender<TcpStream>, request: &[u8]) -> String {
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_end, _) = listener.accept().unwrap();
+        tx.send(server_end).unwrap();
+        client.write_all(request).unwrap();
+        let mut reply = String::new();
+        client.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_its_request_not_its_worker() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
+        let rx = Mutex::new(rx);
+        let stats = ServerStats::default();
+        let calls = AtomicUsize::new(0);
+        // The first connection panics before writing, the second after
+        // writing a partial head; the third is answered.
+        let handle = |conn: &mut Conn| {
+            let call = calls.fetch_add(1, Ordering::Relaxed);
+            let _ = read_request(conn, 1024);
+            match call {
+                0 => panic!("handler bug"),
+                1 => {
+                    conn.write_all(b"HTTP/1.1 200 OK\r\n").unwrap();
+                    panic!("handler bug after writing");
+                }
+                _ => {
+                    let _ = write_response(conn, 200, "text/plain", b"still serving\n");
+                }
+            }
+        };
+        std::thread::scope(|scope| {
+            // One worker: after a panic, only it can answer the next
+            // connection.
+            scope.spawn(|| worker_loop(&rx, &stats, handle));
+            let request = b"GET /stats HTTP/1.1\r\n\r\n";
+            let first = exchange(&listener, &tx, request);
+            assert!(first.starts_with("HTTP/1.1 500 "), "{first}");
+            let second = exchange(&listener, &tx, request);
+            assert_eq!(
+                second, "HTTP/1.1 200 OK\r\n",
+                "no 500 after a partial write"
+            );
+            let third = exchange(&listener, &tx, request);
+            assert!(third.starts_with("HTTP/1.1 200 "), "{third}");
+            assert!(third.ends_with("still serving\n"), "{third}");
+            drop(tx);
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(stats.snapshot().server_errors, 2);
     }
 }

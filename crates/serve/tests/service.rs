@@ -337,20 +337,16 @@ fn trace_route_streams_a_run_that_reassembles_into_a_valid_capture() {
             };
             streamed.entry(core).or_default().push(event);
         }
-        let expected: BTreeMap<Option<usize>, Vec<String>> = buffered
-            .core_logs()
-            .into_iter()
-            .map(|(core, log)| {
-                // The trailing platform log of a global run is untagged.
-                let key = (job.cores > 1 && core < job.cores).then_some(core);
-                let lines = log
-                    .events()
-                    .iter()
-                    .map(|e| rtft_trace::format::event_line(e).trim_end().to_string())
-                    .collect();
-                (key, lines)
-            })
-            .collect();
+        let mut expected: BTreeMap<Option<usize>, Vec<String>> = BTreeMap::new();
+        for e in buffered.events().iter() {
+            // The trailing platform log of a global run is untagged.
+            let key = (job.cores > 1 && e.core < job.cores).then_some(e.core);
+            let line = rtft_trace::format::event_line(&e.event);
+            expected
+                .entry(key)
+                .or_default()
+                .push(line.trim_end().to_string());
+        }
         assert_eq!(
             streamed.keys().collect::<Vec<_>>(),
             expected.keys().collect::<Vec<_>>(),

@@ -112,7 +112,9 @@ impl TaskComponent {
         // By-rank cost lookup (O(1)) + fault delta: equivalent to
         // `FaultPlan::demand`, which would re-find the task by id.
         let cost = sys.state.set.by_rank(self.rank).cost;
-        let demand = (cost + sys.fault_plan.delta(self.id, job)).max(Duration::NANO);
+        let demand = cost
+            .saturating_add(sys.fault_plan.delta(self.id, job))
+            .max(Duration::NANO);
         sys.state.procs[self.rank].release(now, demand);
         sys.sync_policy(self.rank);
         sys.trace

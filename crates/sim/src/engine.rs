@@ -771,7 +771,7 @@ impl Simulator {
                 let remaining = front.remaining;
                 if let Some(k) = on_core {
                     // Re-arm with the shortened remaining time.
-                    self.arm_completion(k, now + remaining);
+                    self.arm_completion(k, now.saturating_add(remaining));
                 }
             }
         }
@@ -798,10 +798,10 @@ impl Simulator {
         let job = self.sys.state.procs[rank]
             .front_mut()
             .expect("running job present");
-        job.remaining += amount;
-        job.demand += amount;
+        job.remaining = job.remaining.saturating_add(amount);
+        job.demand = job.demand.saturating_add(amount);
         let remaining = job.remaining;
-        self.arm_completion(k, self.sys.state.now + remaining);
+        self.arm_completion(k, self.sys.state.now.saturating_add(remaining));
     }
 
     /// (Re-)arm core `k`'s completion register, drawing a sequence number.
@@ -901,8 +901,8 @@ impl Simulator {
             .front_mut()
             .expect("dispatch on empty queue");
         if ctx.is_positive() {
-            job.remaining += ctx;
-            job.demand += ctx;
+            job.remaining = job.remaining.saturating_add(ctx);
+            job.demand = job.demand.saturating_add(ctx);
         }
         let (index, remaining, started) = (job.index, job.remaining, job.started);
         job.started = true;
@@ -913,7 +913,8 @@ impl Simulator {
         };
         self.sys.trace.push(now, kind);
         self.tag_last(k);
-        self.arm_completion(k, now + remaining);
+        // A saturated demand completes at the end of time, never wraps.
+        self.arm_completion(k, now.saturating_add(remaining));
     }
 
     /// Take core `k` from `rank` for `by`; the caller dispatches `by`

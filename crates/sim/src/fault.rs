@@ -54,11 +54,13 @@ impl FaultPlan {
             .unwrap_or(Duration::ZERO)
     }
 
-    /// Effective execution demand of a job: `C + δ`, clamped to at least
-    /// one nanosecond (a job always executes *something*).
+    /// Effective execution demand of a job: `C + δ`, saturating at
+    /// [`Duration::MAX`] (an overrun past it never completes) and clamped
+    /// to at least one nanosecond (a job always executes *something*).
     pub fn demand(&self, set: &TaskSet, task: TaskId, job: u64) -> Duration {
         let cost = set.by_id(task).map_or(Duration::ZERO, |t| t.cost);
-        (cost + self.delta(task, job)).max(Duration::NANO)
+        cost.saturating_add(self.delta(task, job))
+            .max(Duration::NANO)
     }
 
     /// Number of planned faulty jobs.

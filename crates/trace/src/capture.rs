@@ -90,6 +90,64 @@ pub struct TraceCapture {
     pub body: CaptureBody,
 }
 
+/// A borrowed view of a capture's events over either body, in stream
+/// order: the stream `rtft replay` indexes divergences into, with a
+/// flat body's events on core 0. Replay (its stepper, and the
+/// [`TraceStats`] behind its verdict), `rtft replay --step` and the JSON
+/// rendering read a capture through this view, so none of them copies
+/// the events. A consumer with a hot loop matches the two slices once
+/// and runs over each directly.
+///
+/// [`TraceStats`]: crate::stats::TraceStats
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum CaptureEvents<'a> {
+    /// A flat body's log.
+    Flat(&'a [TraceEvent]),
+    /// A merged body's core-tagged events.
+    Merged(&'a [CoreEvent]),
+}
+
+impl<'a> CaptureEvents<'a> {
+    /// Number of events.
+    pub fn len(self) -> usize {
+        match self {
+            CaptureEvents::Flat(events) => events.len(),
+            CaptureEvents::Merged(events) => events.len(),
+        }
+    }
+
+    /// `true` when there are no events.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The events in stream order, core-tagged.
+    pub fn iter(self) -> impl Iterator<Item = CoreEvent> + 'a {
+        // One of the two slices is empty.
+        let (flat, merged): (&[TraceEvent], &[CoreEvent]) = match self {
+            CaptureEvents::Flat(events) => (events, &[]),
+            CaptureEvents::Merged(events) => (&[], events),
+        };
+        flat.iter()
+            .map(|&event| CoreEvent { core: 0, event })
+            .chain(merged.iter().copied())
+    }
+
+    /// Number of per-core logs: one for a flat body (even an empty one),
+    /// the distinct cores its events name for a merged body.
+    pub fn cores(self) -> usize {
+        match self {
+            CaptureEvents::Flat(_) => 1,
+            CaptureEvents::Merged(events) => {
+                let mut cores: Vec<usize> = events.iter().map(|e| e.core).collect();
+                cores.sort_unstable();
+                cores.dedup();
+                cores.len()
+            }
+        }
+    }
+}
+
 /// [`crate::merge::merged_content_hash`] of the per-core logs a merged
 /// stream groups back into (distinct cores, ascending), in one pass:
 /// each core's events feed that core's own hasher, and the per-core
@@ -162,10 +220,7 @@ impl TraceCapture {
 
     /// Number of events.
     pub fn len(&self) -> usize {
-        match &self.body {
-            CaptureBody::Flat(log) => log.len(),
-            CaptureBody::Merged(events) => events.len(),
-        }
+        self.events().len()
     }
 
     /// `true` when the capture holds no events.
@@ -173,52 +228,23 @@ impl TraceCapture {
         self.len() == 0
     }
 
-    /// The events as a uniform core-tagged chronological stream (a flat
-    /// body reads as core 0). Replay indexes divergences into this
+    /// The events as one borrowed core-tagged chronological stream (a
+    /// flat body reads as core 0). Replay indexes divergences into this
     /// stream.
-    pub fn events(&self) -> Vec<CoreEvent> {
+    pub fn events(&self) -> CaptureEvents<'_> {
         match &self.body {
-            CaptureBody::Flat(log) => log
-                .events()
-                .iter()
-                .map(|e| CoreEvent { core: 0, event: *e })
-                .collect(),
-            CaptureBody::Merged(events) => events.clone(),
+            CaptureBody::Flat(log) => CaptureEvents::Flat(log.events()),
+            CaptureBody::Merged(events) => CaptureEvents::Merged(events),
         }
     }
 
     /// The events as one chronological [`TraceLog`], core tags dropped
-    /// (the merge is already time-ordered, so this is well-formed).
-    pub fn flat_log(&self) -> TraceLog {
-        match &self.body {
-            CaptureBody::Flat(log) => log.clone(),
+    /// (the merge is already time-ordered, so this is well-formed). A
+    /// flat body's log is moved out, not copied.
+    pub fn into_log(self) -> TraceLog {
+        match self.body {
+            CaptureBody::Flat(log) => log,
             CaptureBody::Merged(events) => events.iter().map(|e| e.event).collect(),
-        }
-    }
-
-    /// Per-core logs of a merged body (distinct cores, ascending); a
-    /// flat body yields a single `(0, log)` pair.
-    pub fn core_logs(&self) -> Vec<(usize, TraceLog)> {
-        match &self.body {
-            CaptureBody::Flat(log) => vec![(0, log.clone())],
-            CaptureBody::Merged(events) => {
-                let mut cores: Vec<usize> = events.iter().map(|e| e.core).collect();
-                cores.sort_unstable();
-                cores.dedup();
-                cores
-                    .into_iter()
-                    .map(|c| {
-                        (
-                            c,
-                            events
-                                .iter()
-                                .filter(|e| e.core == c)
-                                .map(|e| e.event)
-                                .collect(),
-                        )
-                    })
-                    .collect()
-            }
         }
     }
 
@@ -476,8 +502,7 @@ impl TraceCapture {
         };
         let _ = writeln!(out, "  \"body\": \"{kind}\",");
         out.push_str("  \"events\": [");
-        let events = self.events();
-        for (i, ce) in events.iter().enumerate() {
+        for (i, ce) in self.events().iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    {");
             if matches!(self.body, CaptureBody::Merged(_)) {
@@ -1088,7 +1113,8 @@ mod tests {
         let cut = cap.truncated(3);
         assert_eq!(cut.len(), 3);
         assert_eq!(cut.hash_matches(), Some(true));
-        assert_eq!(cut.events(), cap.events()[..3].to_vec());
+        let prefix: Vec<CoreEvent> = cap.events().iter().take(3).collect();
+        assert_eq!(cut.events().iter().collect::<Vec<_>>(), prefix);
         // Header provenance is preserved.
         assert_eq!(
             cut.header.as_ref().unwrap().spec_hash,
@@ -1128,16 +1154,25 @@ mod tests {
     fn events_view_tags_flat_bodies_with_core_zero() {
         let cap = flat_capture();
         assert!(cap.events().iter().all(|e| e.core == 0));
-        assert_eq!(cap.flat_log(), sample_log());
+        assert_eq!(cap.events().cores(), 1);
+        // An empty flat body is still one (empty) core log.
+        assert_eq!(TraceCapture::parse_text("").unwrap().events().cores(), 1);
+        assert_eq!(cap.into_log(), sample_log());
     }
 
     #[test]
     fn merged_core_logs_roundtrip_the_inputs() {
         let cap = merged_capture();
-        let logs = cap.core_logs();
-        assert_eq!(logs.len(), 2);
-        assert_eq!(logs[0].0, 0);
-        assert_eq!(logs[1].0, 1);
-        assert_eq!(logs[0].1, sample_log());
+        let events = cap.events();
+        assert_eq!(events.cores(), 2);
+        let core = |c: usize| -> TraceLog {
+            events
+                .iter()
+                .filter(|e| e.core == c)
+                .map(|e| e.event)
+                .collect()
+        };
+        assert_eq!(core(0), sample_log());
+        assert_eq!(core(1).len(), 2);
     }
 }

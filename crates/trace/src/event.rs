@@ -181,6 +181,14 @@ impl TraceEvent {
     }
 }
 
+/// Lets code generic over a capture's two bodies read a flat event and
+/// a core-tagged one alike.
+impl AsRef<TraceEvent> for TraceEvent {
+    fn as_ref(&self) -> &TraceEvent {
+        self
+    }
+}
+
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.kind.task() {

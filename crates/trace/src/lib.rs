@@ -13,7 +13,8 @@
 //! * [`capture`] — the persisted capture format (v2): events plus a
 //!   provenance header (spec hash, policy/placement/cores, treatment,
 //!   content hash) in line and JSON renderings, imported by `rtft replay`;
-//! * [`stats`] — per-job lifecycle reconstruction and task summaries;
+//! * [`stats`] — per-job lifecycle reconstruction and task summaries,
+//!   over the [`jobs`] table that replay shares;
 //! * [`chart`] — the text time-series chart with the paper's glyphs
 //!   (↑ releases, ↓ deadlines, ◆ detectors, `>` WCRTs);
 //! * [`merge`] — core-tagged recombination of per-core traces from
@@ -31,13 +32,14 @@ pub mod clock;
 pub mod diff;
 pub mod event;
 pub mod format;
+pub mod jobs;
 pub mod log;
 pub mod merge;
 pub mod stats;
 pub mod svg;
 pub mod validate;
 
-pub use capture::{CaptureBody, TraceCapture, TraceHeader};
+pub use capture::{CaptureBody, CaptureEvents, TraceCapture, TraceHeader};
 pub use chart::{render, ChartConfig};
 pub use event::{EventKind, JobIndex, TraceEvent};
 pub use log::TraceLog;

@@ -23,6 +23,12 @@ pub struct CoreEvent {
     pub event: TraceEvent,
 }
 
+impl AsRef<TraceEvent> for CoreEvent {
+    fn as_ref(&self) -> &TraceEvent {
+        &self.event
+    }
+}
+
 impl fmt::Display for CoreEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "c{} {}", self.core, self.event)

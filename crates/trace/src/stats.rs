@@ -4,12 +4,11 @@
 //! dates (releases, starts, ends, detector firings), rebuild each job's
 //! lifecycle and summarize response times, deadline outcomes and stops.
 
-use crate::event::{EventKind, JobIndex};
+use crate::event::{EventKind, JobIndex, TraceEvent};
+use crate::jobs::{Indexed, JobTable};
 use crate::log::TraceLog;
 use rtft_core::task::{TaskId, TaskSet};
 use rtft_core::time::{Duration, Instant};
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// Reconstructed lifecycle of a single job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -91,19 +90,12 @@ impl TaskSummary {
 /// Accessors are binary searches over those vectors, and the iterators
 /// walk them in `(task, job)` order.
 ///
-/// **Cost.** [`TraceStats::from_log`] is a single pass over the log and
-/// O(1) per event on simulator output: it remembers the last task it
-/// touched (a direct table serves small task ids), caches each task's
-/// relative deadline, and finds a job by scanning back a few records from
-/// the newest one, since in-flight jobs sit at the tail. Summaries are
-/// folded once per job at the end.
-///
-/// **Untrusted captures.** A job first seen below its task's newest index
-/// (reversed, interleaved or gap-filling indices) goes to an ordered
-/// side map, and task ids past the direct table's 1024 entries go to
-/// another, so no event costs more than O(log n) and the build is
-/// O(n log n) at worst. Nothing is allocated in proportion to a raw
-/// [`JobIndex`] or a large task id.
+/// **Cost.** [`TraceStats::from_events`] is a single pass over the events
+/// through the shared [`JobTable`], with each task's relative deadline
+/// cached as its meta: O(1) per event on simulator output, O(log n) at
+/// worst on untrusted captures, and nothing allocated in proportion to a
+/// raw [`JobIndex`] or a large task id. Summaries are folded once per
+/// job at the end.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct TraceStats {
     tasks: Vec<TaskStats>,
@@ -118,144 +110,37 @@ struct TaskStats {
     jobs: Vec<JobRecord>,
 }
 
-/// Task ids below this bound are found through a direct table; larger
-/// ids go through an ordered map.
-const DIRECT_TASK_IDS: u32 = 1024;
-
-/// Records a job lookup scans back from the newest before it falls back
-/// to binary search.
-const TAIL_SCAN: usize = 4;
-
-/// Marks an unseen task in the direct table.
-const UNSEEN: usize = usize::MAX;
-
-/// One task while [`TraceStats::from_log`] runs.
-struct TaskBuild {
-    task: TaskId,
-    /// Relative deadline from the task set, looked up once.
-    deadline: Option<Duration>,
-    /// Ascending job index; a job above the newest one is appended.
-    jobs: Vec<JobRecord>,
-    /// Jobs first seen below the newest index in `jobs`.
-    late: BTreeMap<JobIndex, JobRecord>,
-}
-
-impl TaskBuild {
-    /// The record of `job`, created with `release = at` if unseen.
-    fn record(&mut self, job: JobIndex, at: Instant) -> &mut JobRecord {
-        let fresh = JobRecord {
-            task: self.task,
-            job,
-            release: at,
-            start: None,
-            end: None,
-            deadline: None,
-            missed: false,
-            stopped: false,
-            faulty: false,
-        };
-        if self.jobs.last().is_none_or(|newest| newest.job < job) {
-            self.jobs.push(fresh);
-            return self.jobs.last_mut().expect("just pushed");
-        }
-        match self.find(job) {
-            Some(i) => &mut self.jobs[i],
-            None => self.late.entry(job).or_insert(fresh),
-        }
-    }
-
-    /// Position of `job` in `jobs`: a short scan back from the tail, then
-    /// binary search over the rest.
-    fn find(&self, job: JobIndex) -> Option<usize> {
-        let n = self.jobs.len();
-        let head = n.saturating_sub(TAIL_SCAN);
-        for i in (head..n).rev() {
-            match self.jobs[i].job.cmp(&job) {
-                Ordering::Equal => return Some(i),
-                Ordering::Less => return None,
-                Ordering::Greater => {}
-            }
-        }
-        self.jobs[..head].binary_search_by_key(&job, |r| r.job).ok()
-    }
-
-    fn finish(self) -> TaskStats {
-        let mut jobs = self.jobs;
-        if !self.late.is_empty() {
-            jobs.extend(self.late.into_values());
-            jobs.sort_unstable_by_key(|r| r.job);
-        }
-        let mut summary = TaskSummary::default();
-        for record in &jobs {
-            summary.released += 1;
-            if record.missed {
-                summary.missed += 1;
-            }
-            if record.stopped {
-                summary.stopped += 1;
-            }
-            if record.faulty {
-                summary.faults += 1;
-            }
-            if let Some(r) = record.response() {
-                summary.completed += 1;
-                summary.total_response += r;
-                summary.max_response = Some(summary.max_response.map_or(r, |m| m.max(r)));
-                summary.min_response = Some(summary.min_response.map_or(r, |m| m.min(r)));
-            }
-        }
-        TaskStats {
-            task: self.task,
-            summary,
-            jobs,
-        }
+impl Indexed for JobRecord {
+    fn index(&self) -> JobIndex {
+        self.job
     }
 }
 
-/// The tasks of a log in first-seen order, with their lookup tables.
-struct Builder<'a> {
-    set: Option<&'a TaskSet>,
-    tasks: Vec<TaskBuild>,
-    /// `direct[id]` is the slot of task `id` (ids below
-    /// [`DIRECT_TASK_IDS`]), or [`UNSEEN`].
-    direct: Vec<usize>,
-    /// Slots of the larger ids.
-    wide: BTreeMap<TaskId, usize>,
-    /// Slot of the task touched last.
-    last: usize,
-}
-
-impl Builder<'_> {
-    fn task(&mut self, task: TaskId) -> &mut TaskBuild {
-        if self.tasks.get(self.last).is_none_or(|t| t.task != task) {
-            self.last = self.slot(task);
+/// Fold one task's job records into its summary.
+fn finish(task: TaskId, jobs: Vec<JobRecord>) -> TaskStats {
+    let mut summary = TaskSummary::default();
+    for record in &jobs {
+        summary.released += 1;
+        if record.missed {
+            summary.missed += 1;
         }
-        &mut self.tasks[self.last]
+        if record.stopped {
+            summary.stopped += 1;
+        }
+        if record.faulty {
+            summary.faults += 1;
+        }
+        if let Some(r) = record.response() {
+            summary.completed += 1;
+            summary.total_response += r;
+            summary.max_response = Some(summary.max_response.map_or(r, |m| m.max(r)));
+            summary.min_response = Some(summary.min_response.map_or(r, |m| m.min(r)));
+        }
     }
-
-    fn slot(&mut self, task: TaskId) -> usize {
-        let fresh = self.tasks.len();
-        let slot = if task.0 < DIRECT_TASK_IDS {
-            let id = task.0 as usize;
-            if id >= self.direct.len() {
-                self.direct.resize(id + 1, UNSEEN);
-            }
-            if self.direct[id] == UNSEEN {
-                self.direct[id] = fresh;
-            }
-            self.direct[id]
-        } else {
-            *self.wide.entry(task).or_insert(fresh)
-        };
-        if slot == fresh {
-            self.tasks.push(TaskBuild {
-                task,
-                deadline: self.set.and_then(|s| s.by_id(task)).map(|s| s.deadline),
-                jobs: Vec::new(),
-                late: BTreeMap::new(),
-            });
-        }
-        slot
+    TaskStats {
+        task,
+        summary,
+        jobs,
     }
 }
 
@@ -264,20 +149,35 @@ impl TraceStats {
     /// deadlines are attached so [`JobRecord::met_deadline`] can judge jobs
     /// even if the producer did not emit explicit miss events.
     pub fn from_log(log: &TraceLog, set: Option<&TaskSet>) -> Self {
-        let mut b = Builder {
-            set,
-            tasks: Vec::new(),
-            direct: Vec::new(),
-            wide: BTreeMap::new(),
-            last: 0,
-        };
-        for e in log.events() {
+        Self::from_events(log.events(), set)
+    }
+
+    /// [`TraceStats::from_log`] over borrowed events in chronological
+    /// order — a log's, or a capture's through
+    /// [`crate::capture::CaptureEvents`].
+    pub fn from_events<'e>(
+        events: impl IntoIterator<Item = &'e TraceEvent>,
+        set: Option<&TaskSet>,
+    ) -> Self {
+        // Each task's meta is its relative deadline, looked up once.
+        let mut table: JobTable<JobRecord, Option<Duration>> = JobTable::new();
+        for e in events {
             let (Some(task), Some(job)) = (e.kind.task(), e.kind.job()) else {
                 continue;
             };
-            let t = b.task(task);
-            let deadline = t.deadline;
-            let entry = t.record(job, e.at);
+            let t = table.task(task, || set.and_then(|s| s.by_id(task)).map(|s| s.deadline));
+            let deadline = t.meta;
+            let entry = t.slot(job, || JobRecord {
+                task,
+                job,
+                release: e.at,
+                start: None,
+                end: None,
+                deadline: None,
+                missed: false,
+                stopped: false,
+                faulty: false,
+            });
             match e.kind {
                 EventKind::JobRelease { .. } => {
                     entry.release = e.at;
@@ -293,8 +193,11 @@ impl TraceStats {
                 _ => {}
             }
         }
-        let mut tasks: Vec<TaskStats> = b.tasks.into_iter().map(TaskBuild::finish).collect();
-        tasks.sort_unstable_by_key(|t| t.task);
+        let tasks = table
+            .into_tasks()
+            .into_iter()
+            .map(|(task, _, jobs)| finish(task, jobs))
+            .collect();
         TraceStats { tasks }
     }
 
@@ -486,6 +389,7 @@ impl ResponseHistogram {
 mod tests {
     use super::*;
     use rtft_core::task::TaskBuilder;
+    use std::collections::BTreeMap;
 
     fn t(ms: i64) -> Instant {
         Instant::from_millis(ms)

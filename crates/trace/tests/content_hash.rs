@@ -177,7 +177,10 @@ proptest! {
             .map(|(event, core)| CoreEvent { core, event })
             .collect();
         let capture = TraceCapture { header: None, body: CaptureBody::Merged(body) };
-        let logs = capture.core_logs();
+        let mut logs: std::collections::BTreeMap<usize, TraceLog> = Default::default();
+        for e in capture.events().iter() {
+            logs.entry(e.core).or_default().push_event(e.event);
+        }
         let refs: Vec<(usize, &TraceLog)> = logs.iter().map(|(c, l)| (*c, l)).collect();
         prop_assert_eq!(capture.recomputed_hash(), merged_content_hash(&refs));
     }

@@ -1003,7 +1003,7 @@ fn cmd_chart(args: &[String]) -> CliResult {
     // v1 files. Charting flattens core tags away.
     let log = parse_capture(&text)
         .map_err(|e| format!("parse {path}: {e}"))?
-        .flat_log();
+        .into_log();
     let end = log.end().unwrap_or(Instant::EPOCH);
     let (from, to) = match flag_value(args, "--window") {
         Some(w) => {
@@ -1126,16 +1126,17 @@ fn trace_info(args: &[String]) -> CliResult {
         }
         None => println!("headerless legacy trace (v1): no provenance to check"),
     }
-    let core_logs = capture.core_logs();
+    let events = capture.events();
+    let cores = events.cores();
     println!(
-        "{} events over {} core log{}",
-        capture.len(),
-        core_logs.len(),
-        if core_logs.len() == 1 { "" } else { "s" }
+        "{} events over {cores} core log{}",
+        events.len(),
+        if cores == 1 { "" } else { "s" }
     );
-    let log = capture.flat_log();
-    if let (Some(first), Some(end)) = (log.events().first(), log.end()) {
-        println!("span         {} .. {end}", first.at);
+    let mut stream = events.iter();
+    if let Some(first) = stream.next() {
+        let last = stream.last().unwrap_or(first);
+        println!("span         {} .. {}", first.event.at, last.event.at);
     }
     Ok(())
 }

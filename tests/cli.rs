@@ -173,6 +173,51 @@ fn nonpositive_fault_amounts_fail_cleanly_in_every_format() {
     }
 }
 
+#[test]
+fn an_overrun_at_the_top_of_the_range_saturates_and_is_flagged() {
+    // A lint-clean i64::MAX-ns overrun: the job's demand saturates, so
+    // the job never completes and its detector flags it, instead of the
+    // add wrapping (or panicking in a debug build) and the overrun
+    // vanishing from the run.
+    let dir = temp_dir("saturate");
+    let tasks = dir.join("max.rtft");
+    std::fs::write(
+        &tasks,
+        "a 9 100ms 100ms 10ms\nb 5 200ms 200ms 20ms\n\
+         fault a job 0 overrun 9223372036854775807ns\n",
+    )
+    .unwrap();
+    let out = rtft()
+        .args([
+            "run",
+            tasks.to_str().unwrap(),
+            "--treatment",
+            "detect",
+            "--horizon",
+            "300ms",
+        ])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stdout}{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let row = stdout
+        .lines()
+        .find(|l| l.starts_with("τ1 ") && l.ends_with("FAILED"))
+        .unwrap_or_else(|| panic!("τ1 is not reported failed:\n{stdout}"));
+    // released completed missed stopped faults: job 0 never completes,
+    // and its fault is flagged.
+    let counts: Vec<usize> = row
+        .split_whitespace()
+        .skip(1)
+        .take(5)
+        .map(|w| w.parse().unwrap())
+        .collect();
+    assert_eq!(counts[1], 0, "{row}");
+    assert!(counts[4] > 0, "{row}");
+}
+
 const CAMPAIGN_SPEC: &str = "\
 campaign cli-smoke
 horizon 1300ms
