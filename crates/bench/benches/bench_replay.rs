@@ -2,7 +2,8 @@
 //!
 //! * `replay_import` — parse a rendered capture back into a
 //!   `TraceCapture` (throughput in events): the cost of loading a saved
-//!   trace before any checking happens;
+//!   trace before any checking happens, on the flat one-core capture
+//!   (`parse_text`) and on the merged 2-core one (`parse_text_merged`);
 //! * `replay_render` — the inverse direction, for the export path;
 //! * `replay_step` — step an imported capture against pre-resolved
 //!   bounds (`replay_with`, the hot path of campaign-scale replays), on
@@ -55,6 +56,13 @@ fn bench_replay(c: &mut Criterion) {
     group.throughput(Throughput::Elements(events));
     group.bench_function(BenchmarkId::from_parameter("parse_text"), |b| {
         b.iter(|| TraceCapture::parse_text(black_box(&text)).unwrap())
+    });
+    group.finish();
+    let merged_text = merged.render_text();
+    let mut group = c.benchmark_group("replay_import");
+    group.throughput(Throughput::Elements(merged.len() as u64));
+    group.bench_function(BenchmarkId::from_parameter("parse_text_merged"), |b| {
+        b.iter(|| TraceCapture::parse_text(black_box(&merged_text)).unwrap())
     });
     group.finish();
 

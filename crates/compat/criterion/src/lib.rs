@@ -3,9 +3,12 @@
 //!
 //! Each benchmark routine is warmed up, then timed over adaptively sized
 //! batches until a wall-clock budget is spent; the median batch mean is
-//! reported. On exit, `criterion_main!` writes every result to
-//! `BENCH_<target>.json` at the workspace root (next to `ROADMAP.md`), so
-//! successive runs can be diffed.
+//! reported, with the 25th and 75th percentiles as its spread. On exit,
+//! `criterion_main!` writes every result to `BENCH_<target>.json` at the
+//! workspace root (next to `ROADMAP.md`), so successive runs can be
+//! diffed. Every row carries the host it ran on (CPU model, `nproc`,
+//! `rustc -V`, git revision): rows from different hosts are not
+//! comparable.
 //!
 //! Environment knobs:
 //! * `BENCH_BUDGET_MS` — per-benchmark measurement budget (default 300).
@@ -56,6 +59,10 @@ pub struct BenchResult {
     pub name: String,
     /// Median time per iteration, nanoseconds.
     pub median_ns: f64,
+    /// 25th percentile of the batch means, nanoseconds.
+    pub p25_ns: f64,
+    /// 75th percentile of the batch means, nanoseconds.
+    pub p75_ns: f64,
     /// Total iterations measured.
     pub iterations: u64,
     /// Optional throughput annotation.
@@ -65,7 +72,17 @@ pub struct BenchResult {
 /// Passed to benchmark closures; `iter` runs and times the routine.
 pub struct Bencher<'a> {
     budget: Duration,
-    result: &'a mut Option<(f64, u64)>,
+    result: &'a mut Option<Measured>,
+}
+
+/// What one routine measured: quartiles of the batch means and the
+/// iterations run.
+#[derive(Clone, Copy)]
+struct Measured {
+    p25: f64,
+    median: f64,
+    p75: f64,
+    iterations: u64,
 }
 
 impl Bencher<'_> {
@@ -96,8 +113,13 @@ impl Bencher<'_> {
             }
         }
         samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-        let median = samples[samples.len() / 2];
-        *self.result = Some((median, total_iters));
+        let at = |q: usize| samples[(samples.len() - 1) * q / 4];
+        *self.result = Some(Measured {
+            p25: at(1),
+            median: samples[samples.len() / 2],
+            p75: at(3),
+            iterations: total_iters,
+        });
     }
 }
 
@@ -139,15 +161,23 @@ impl Criterion {
             result: &mut slot,
         };
         f(&mut bencher);
-        let (median_ns, iterations) = slot.unwrap_or((f64::NAN, 0));
+        let m = slot.unwrap_or(Measured {
+            p25: f64::NAN,
+            median: f64::NAN,
+            p75: f64::NAN,
+            iterations: 0,
+        });
         eprintln!(
-            "{name:<44} time: {:>12}  ({iterations} iters)",
-            fmt_ns(median_ns)
+            "{name:<44} time: {:>12}  ({} iters)",
+            fmt_ns(m.median),
+            m.iterations
         );
         self.results.push(BenchResult {
             name,
-            median_ns,
-            iterations,
+            median_ns: m.median,
+            p25_ns: m.p25,
+            p75_ns: m.p75,
+            iterations: m.iterations,
             throughput,
         });
     }
@@ -182,6 +212,7 @@ impl Criterion {
     /// [`criterion_main!`].
     pub fn finalize(&self, target: &str) {
         let path = out_dir().join(format!("BENCH_{target}.json"));
+        let host = host();
         let mut json = String::from("[\n");
         for (i, r) in self.results.iter().enumerate() {
             let sep = if i + 1 == self.results.len() { "" } else { "," };
@@ -191,8 +222,9 @@ impl Criterion {
                 None => String::new(),
             };
             json.push_str(&format!(
-                "  {{\"name\":{:?},\"median_ns\":{:.1},\"iterations\":{}{tp}}}{sep}\n",
-                r.name, r.median_ns, r.iterations
+                "  {{\"name\":{:?},\"median_ns\":{:.1},\"p25_ns\":{:.1},\"p75_ns\":{:.1},\
+                 \"iterations\":{}{tp},{host}}}{sep}\n",
+                r.name, r.median_ns, r.p25_ns, r.p75_ns, r.iterations
             ));
         }
         json.push_str("]\n");
@@ -204,10 +236,54 @@ impl Criterion {
     }
 }
 
+/// The host fields every row carries, as JSON members: CPU model,
+/// `nproc`, `rustc -V` and the git revision, `"unknown"` where one cannot
+/// be read.
+fn host() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    format!(
+        "\"cpu\":{cpu:?},\"nproc\":{nproc},\"rustc\":{:?},\"git_rev\":{:?}",
+        command_line("rustc", &["-V"]),
+        command_line("git", &["rev-parse", "HEAD"]),
+    )
+}
+
+/// The trimmed stdout of a command run at the workspace root, or
+/// `"unknown"`.
+fn command_line(program: &str, args: &[&str]) -> String {
+    let dir = workspace_root();
+    // Keep git from searching above the workspace: outside a checkout
+    // of this repository it has no revision.
+    let ceiling = dir.parent().map(PathBuf::from).unwrap_or_default();
+    std::process::Command::new(program)
+        .args(args)
+        .current_dir(&dir)
+        .env("GIT_CEILING_DIRECTORIES", ceiling)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn out_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("BENCH_OUT_DIR") {
-        return PathBuf::from(dir);
+    match std::env::var("BENCH_OUT_DIR") {
+        Ok(dir) => PathBuf::from(dir),
+        Err(_) => workspace_root(),
     }
+}
+
+fn workspace_root() -> PathBuf {
     // Walk up from the package to the workspace root (ROADMAP.md marker).
     let start = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
     let mut dir = PathBuf::from(start);
@@ -362,6 +438,21 @@ mod tests {
             c.results()[0].throughput,
             Some(Throughput::Elements(10))
         ));
+    }
+
+    #[test]
+    fn rows_carry_spread_and_host() {
+        let mut c = Criterion {
+            budget: Duration::from_millis(10),
+            results: Vec::new(),
+        };
+        c.bench_function("noop", |b| b.iter(|| 1 + 1));
+        let r = &c.results()[0];
+        assert!(r.p25_ns <= r.median_ns && r.median_ns <= r.p75_ns);
+        let host = host();
+        for key in ["\"cpu\":", "\"nproc\":", "\"rustc\":", "\"git_rev\":"] {
+            assert!(host.contains(key), "{host}");
+        }
     }
 
     #[test]

@@ -115,15 +115,21 @@ impl FtSupervisor {
         Instant::EPOCH + spec.offset + spec.period * job as i64
     }
 
-    fn on_detector_fire(&mut self, state: &SimState, rank: usize, job: u64) -> Vec<Command> {
+    fn on_detector_fire(
+        &mut self,
+        state: &SimState,
+        rank: usize,
+        job: u64,
+        out: &mut Vec<Command>,
+    ) {
         let set = state.task_set();
         let task = set.by_rank(rank).id;
-        let mut out = vec![Command::Trace(EventKind::DetectorRelease { task, job })];
+        out.push(Command::Trace(EventKind::DetectorRelease { task, job }));
         if state.is_dead(rank) {
-            return out;
+            return;
         }
         match state.outcome(rank, job) {
-            JobOutcome::Finished | JobOutcome::Abandoned => return out,
+            JobOutcome::Finished | JobOutcome::Abandoned => return,
             JobOutcome::Pending => {}
         }
         // The inspected job is past its (possibly inflated) WCRT and
@@ -171,29 +177,25 @@ impl FtSupervisor {
                 }
             }
         }
-        out
     }
 
-    fn on_stop_point(&mut self, state: &SimState, rank: usize, job: u64) -> Vec<Command> {
+    fn on_stop_point(&mut self, state: &SimState, rank: usize, job: u64, out: &mut Vec<Command>) {
         let Some(grant) = self.grants.remove(&(rank, job)) else {
-            return Vec::new();
+            return;
         };
-        match state.outcome(rank, job) {
-            JobOutcome::Pending => {
-                // Still running at the stop point: the whole grant is gone.
-                if let Some(m) = self.manager.as_mut() {
-                    m.record(rank, grant.amount);
-                }
-                let mode = self.treatment.stop_mode().unwrap_or(StopMode::Permanent);
-                vec![Command::Stop { rank, mode }]
+        // Finished or already abandoned between detection and the stop
+        // point: consumption was recorded by `on_job_finished`.
+        if state.outcome(rank, job) == JobOutcome::Pending {
+            // Still running at the stop point: the whole grant is gone.
+            if let Some(m) = self.manager.as_mut() {
+                m.record(rank, grant.amount);
             }
-            // Finished or already abandoned between detection and the stop
-            // point: consumption was recorded by `on_job_finished`.
-            _ => Vec::new(),
+            let mode = self.treatment.stop_mode().unwrap_or(StopMode::Permanent);
+            out.push(Command::Stop { rank, mode });
         }
     }
 
-    fn on_job_finished(&mut self, state: &SimState, rank: usize, job: u64) -> Vec<Command> {
+    fn on_job_finished(&mut self, state: &SimState, rank: usize, job: u64) {
         if let Some(grant) = self.grants.remove(&(rank, job)) {
             // A granted job finished early: record only what it actually
             // used past the WCRT; the remainder stays available — the
@@ -206,22 +208,21 @@ impl FtSupervisor {
                 m.record(rank, used);
             }
         }
-        Vec::new()
     }
 }
 
 impl Supervisor for FtSupervisor {
-    fn on_occurrence(&mut self, state: &SimState, occ: Occurrence) -> Vec<Command> {
+    fn on_occurrence(&mut self, state: &SimState, occ: Occurrence, out: &mut Vec<Command>) {
         match occ {
             Occurrence::TimerFired { tag, count, .. } => {
-                self.on_detector_fire(state, tag as usize, count)
+                self.on_detector_fire(state, tag as usize, count, out)
             }
             Occurrence::OneShotFired { tag } => {
                 let (rank, job) = untag(tag);
-                self.on_stop_point(state, rank, job)
+                self.on_stop_point(state, rank, job, out)
             }
             Occurrence::JobFinished { rank, job } => self.on_job_finished(state, rank, job),
-            _ => Vec::new(),
+            _ => {}
         }
     }
 }

@@ -320,6 +320,8 @@ pub struct Simulator {
     core_tags: Vec<u16>,
     /// Scratch: the policy's current top-`m` ready ranks.
     desired: Vec<usize>,
+    /// Scratch: the supervisor's commands for one occurrence.
+    commands: Vec<Command>,
     events_processed: u64,
     finished: bool,
 }
@@ -371,6 +373,7 @@ impl Simulator {
             config,
             core_tags: Vec::new(),
             desired: Vec::new(),
+            commands: Vec::new(),
             events_processed: 0,
             finished: false,
         }
@@ -690,12 +693,14 @@ impl Simulator {
     }
 
     fn drain_occurrences(&mut self, supervisor: &mut dyn Supervisor) {
+        let mut commands = std::mem::take(&mut self.commands);
         while let Some(occ) = self.sys.occurrences.pop_front() {
-            let commands = supervisor.on_occurrence(&self.sys.state, occ);
-            for cmd in commands {
+            supervisor.on_occurrence(&self.sys.state, occ, &mut commands);
+            for cmd in commands.drain(..) {
                 self.apply_command(cmd);
             }
         }
+        self.commands = commands;
     }
 
     fn apply_command(&mut self, cmd: Command) {
@@ -1145,22 +1150,22 @@ mod tests {
     }
 
     impl Supervisor for StopAt {
-        fn on_occurrence(&mut self, _state: &SimState, occ: Occurrence) -> Vec<Command> {
+        fn on_occurrence(&mut self, _state: &SimState, occ: Occurrence, out: &mut Vec<Command>) {
             match occ {
                 Occurrence::JobReleased { .. } if !self.armed => {
                     self.armed = true;
-                    vec![Command::ScheduleOneShot {
+                    out.push(Command::ScheduleOneShot {
                         at: self.at,
                         tag: 1,
-                    }]
+                    });
                 }
                 Occurrence::OneShotFired { tag: 1 } => {
-                    vec![Command::Stop {
+                    out.push(Command::Stop {
                         rank: self.rank,
                         mode: self.mode,
-                    }]
+                    });
                 }
-                _ => Vec::new(),
+                _ => {}
             }
         }
     }
@@ -1594,11 +1599,10 @@ mod tests {
         sim.add_periodic_timer(ms(40), ms(30), 9);
         struct Record(Vec<(Instant, u64)>);
         impl Supervisor for Record {
-            fn on_occurrence(&mut self, state: &SimState, occ: Occurrence) -> Vec<Command> {
+            fn on_occurrence(&mut self, state: &SimState, occ: Occurrence, _: &mut Vec<Command>) {
                 if let Occurrence::TimerFired { tag, .. } = occ {
                     self.0.push((state.now(), tag));
                 }
-                Vec::new()
             }
         }
         let mut sup = Record(Vec::new());

@@ -91,9 +91,10 @@ pub enum Command {
 /// Fault-tolerance logic driven by the engine.
 pub trait Supervisor {
     /// React to an occurrence. `state` is read-only introspection (job
-    /// outcomes, queue heads, the task set); returned commands are applied
-    /// immediately, in order.
-    fn on_occurrence(&mut self, state: &SimState, occ: Occurrence) -> Vec<Command>;
+    /// outcomes, queue heads, the task set); commands appended to `out`
+    /// are applied immediately, in order. `out` arrives empty and is the
+    /// engine's one reused buffer, so a reaction allocates nothing.
+    fn on_occurrence(&mut self, state: &SimState, occ: Occurrence, out: &mut Vec<Command>);
 
     /// `false` lets the engine skip occurrence delivery entirely — the
     /// components then never construct or queue [`Occurrence`]s, which
@@ -110,9 +111,7 @@ pub trait Supervisor {
 pub struct NullSupervisor;
 
 impl Supervisor for NullSupervisor {
-    fn on_occurrence(&mut self, _state: &SimState, _occ: Occurrence) -> Vec<Command> {
-        Vec::new()
-    }
+    fn on_occurrence(&mut self, _state: &SimState, _occ: Occurrence, _out: &mut Vec<Command>) {}
 
     fn observes(&self) -> bool {
         false

@@ -35,7 +35,7 @@
 //! against belongs to a different system (lint rule RT035).
 
 use crate::event::{EventKind, TraceEvent};
-use crate::format::{self, ParseError};
+use crate::format::{self, Line, ParseError};
 use crate::log::{hash_event, TraceLog};
 use crate::merge::{fold_core_hashes, merge_core_traces, CoreEvent};
 use rtft_core::fnv::Fnv1a;
@@ -328,152 +328,35 @@ impl TraceCapture {
     /// display format and were never machine-readable — those still
     /// fail to parse.
     pub fn parse_text(text: &str) -> Result<TraceCapture, ParseError> {
-        let mut spec_hash: Option<u64> = None;
-        let mut policy: Option<String> = None;
-        let mut placement: Option<String> = None;
-        let mut cores: Option<usize> = None;
-        let mut treatment: Option<String> = None;
-        let mut content_hash: Option<u64> = None;
-        let mut in_header = true;
-
-        enum Acc {
-            Empty,
-            Flat(TraceLog),
-            Merged(Vec<CoreEvent>),
-        }
-        let mut acc = Acc::Empty;
-        let mut last_at: Option<Instant> = None;
-
-        for (idx, raw) in text.lines().enumerate() {
-            let line_no = idx + 1;
-            let fail = |message: String| ParseError {
-                line: line_no,
-                message,
-            };
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
+        let mut fields = HeaderFields::default();
+        // The first event picks the body; until then comments are header.
+        let mut flat = TraceLog::new();
+        let mut merged: Vec<CoreEvent> = Vec::new();
+        format::scan(text, true, |line| {
+            match line {
+                Line::Event(None, event) if merged.is_empty() => flat.push_event(event),
+                Line::Event(Some(core), event) if flat.is_empty() => {
+                    merged.push(CoreEvent { core, event });
+                }
+                Line::Event(None, _) => {
+                    return Err("flat line in a core-tagged capture (mixed body)".to_string());
+                }
+                Line::Event(Some(_), _) => {
+                    return Err("core-tagged line in a flat capture (mixed body)".to_string());
+                }
+                Line::Comment(comment) if flat.is_empty() && merged.is_empty() => {
+                    return fields.read(comment);
+                }
+                Line::Comment(_) => {} // ordinary comment inside the body
             }
-            if let Some(rest) = line.strip_prefix('#') {
-                let rest = rest.trim();
-                if !in_header {
-                    continue; // ordinary comment inside the body
-                }
-                if let Some((key, value)) = rest.split_once(' ') {
-                    let value = value.trim();
-                    match key {
-                        "spec-hash" => {
-                            spec_hash = Some(
-                                u64::from_str_radix(value, 16)
-                                    .map_err(|e| fail(format!("bad spec-hash: {e}")))?,
-                            );
-                        }
-                        "content-hash" => {
-                            content_hash = Some(
-                                u64::from_str_radix(value, 16)
-                                    .map_err(|e| fail(format!("bad content-hash: {e}")))?,
-                            );
-                        }
-                        "policy" => policy = Some(value.to_string()),
-                        "placement" => placement = Some(value.to_string()),
-                        "treatment" => treatment = Some(value.to_string()),
-                        "cores" => cores = Some(parse_cores(value).map_err(fail)?),
-                        _ => {} // "rtft trace v2", "rtft trace v1", free comments
-                    }
-                }
-                continue;
-            }
+            Ok(())
+        })?;
 
-            in_header = false;
-            // Core-tagged line? `c<digits> <event line>`.
-            let tagged = line
-                .strip_prefix('c')
-                .and_then(|rest| rest.split_once(' '))
-                .and_then(|(digits, event_line)| {
-                    digits.parse::<usize>().ok().map(|c| (c, event_line))
-                });
-            if let Some((core, event_line)) = tagged {
-                let event = format::parse_line(event_line).map_err(&fail)?;
-                if last_at.is_some_and(|last| event.at < last) {
-                    return Err(fail(format!(
-                        "timestamp {} out of order",
-                        event.at.as_nanos()
-                    )));
-                }
-                last_at = Some(event.at);
-                match &mut acc {
-                    Acc::Empty => acc = Acc::Merged(vec![CoreEvent { core, event }]),
-                    Acc::Merged(events) => events.push(CoreEvent { core, event }),
-                    Acc::Flat(_) => {
-                        return Err(fail(
-                            "core-tagged line in a flat capture (mixed body)".to_string(),
-                        ));
-                    }
-                }
-            } else {
-                let event = format::parse_line(line).map_err(&fail)?;
-                if last_at.is_some_and(|last| event.at < last) {
-                    return Err(fail(format!(
-                        "timestamp {} out of order",
-                        event.at.as_nanos()
-                    )));
-                }
-                last_at = Some(event.at);
-                match &mut acc {
-                    Acc::Empty => {
-                        let mut log = TraceLog::new();
-                        log.push_event(event);
-                        acc = Acc::Flat(log);
-                    }
-                    Acc::Flat(log) => log.push_event(event),
-                    Acc::Merged(_) => {
-                        return Err(fail(
-                            "flat line in a core-tagged capture (mixed body)".to_string(),
-                        ));
-                    }
-                }
-            }
-        }
-
-        let any_field = spec_hash.is_some()
-            || policy.is_some()
-            || placement.is_some()
-            || cores.is_some()
-            || treatment.is_some()
-            || content_hash.is_some();
-        let header = if any_field {
-            match (spec_hash, policy, placement, cores, treatment, content_hash) {
-                (
-                    Some(spec_hash),
-                    Some(policy),
-                    Some(placement),
-                    Some(cores),
-                    Some(treatment),
-                    Some(content_hash),
-                ) => Some(TraceHeader {
-                    spec_hash,
-                    policy,
-                    placement,
-                    cores,
-                    treatment,
-                    content_hash,
-                }),
-                _ => {
-                    return Err(ParseError {
-                        line: 1,
-                        message: "incomplete capture header (need spec-hash, policy, \
-                                  placement, cores, treatment, content-hash)"
-                            .to_string(),
-                    });
-                }
-            }
+        let header = fields.header()?;
+        let body = if merged.is_empty() {
+            CaptureBody::Flat(flat)
         } else {
-            None
-        };
-        let body = match acc {
-            Acc::Empty => CaptureBody::Flat(TraceLog::new()),
-            Acc::Flat(log) => CaptureBody::Flat(log),
-            Acc::Merged(events) => CaptureBody::Merged(events),
+            CaptureBody::Merged(merged)
         };
         Ok(TraceCapture { header, body })
     }
@@ -659,6 +542,85 @@ impl TraceCapture {
             other => return Err(fail(format!("unknown body kind `{other}`"))),
         };
         Ok(TraceCapture { header, body })
+    }
+}
+
+/// The header fields a capture's leading comments name, as they are
+/// read.
+#[derive(Default)]
+struct HeaderFields {
+    spec_hash: Option<u64>,
+    policy: Option<String>,
+    placement: Option<String>,
+    cores: Option<usize>,
+    treatment: Option<String>,
+    content_hash: Option<u64>,
+}
+
+impl HeaderFields {
+    /// Read one header comment (`#` included); free comments and the
+    /// version line name no field.
+    #[cold]
+    fn read(&mut self, comment: &str) -> Result<(), String> {
+        if let Some((key, value)) = comment[1..].trim().split_once(' ') {
+            let value = value.trim();
+            match key {
+                "spec-hash" => {
+                    self.spec_hash = Some(
+                        u64::from_str_radix(value, 16)
+                            .map_err(|e| format!("bad spec-hash: {e}"))?,
+                    );
+                }
+                "content-hash" => {
+                    self.content_hash = Some(
+                        u64::from_str_radix(value, 16)
+                            .map_err(|e| format!("bad content-hash: {e}"))?,
+                    );
+                }
+                "policy" => self.policy = Some(value.to_string()),
+                "placement" => self.placement = Some(value.to_string()),
+                "treatment" => self.treatment = Some(value.to_string()),
+                "cores" => self.cores = Some(parse_cores(value)?),
+                _ => {} // "rtft trace v2", "rtft trace v1", free comments
+            }
+        }
+        Ok(())
+    }
+
+    /// The header: none when no field was named, an error (on line 1)
+    /// when only some were.
+    fn header(self) -> Result<Option<TraceHeader>, ParseError> {
+        match self {
+            HeaderFields {
+                spec_hash: Some(spec_hash),
+                policy: Some(policy),
+                placement: Some(placement),
+                cores: Some(cores),
+                treatment: Some(treatment),
+                content_hash: Some(content_hash),
+            } => Ok(Some(TraceHeader {
+                spec_hash,
+                policy,
+                placement,
+                cores,
+                treatment,
+                content_hash,
+            })),
+            HeaderFields {
+                spec_hash: None,
+                policy: None,
+                placement: None,
+                cores: None,
+                treatment: None,
+                content_hash: None,
+            } => Ok(None),
+            _ => Err(ParseError {
+                line: 1,
+                message: "incomplete capture header (need spec-hash, policy, \
+                          placement, cores, treatment, content-hash)"
+                    .to_string(),
+            }),
+        }
     }
 }
 

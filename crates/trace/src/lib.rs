@@ -29,7 +29,6 @@
 pub mod capture;
 pub mod chart;
 pub mod clock;
-pub mod diff;
 pub mod event;
 pub mod format;
 pub mod jobs;
