@@ -3,13 +3,17 @@
 //! * `replay_import` — parse a rendered capture back into a
 //!   `TraceCapture` (throughput in events): the cost of loading a saved
 //!   trace before any checking happens, on the flat one-core capture
-//!   (`parse_text`) and on the merged 2-core one (`parse_text_merged`);
+//!   (`parse_text`), on the merged 2-core one (`parse_text_merged`),
+//!   and on a one-core capture of more than 1 MiB (`parse_text_long`),
+//!   which a host with a second core reads in pieces;
 //! * `replay_render` — the inverse direction, for the export path;
 //! * `replay_step` — step an imported capture against pre-resolved
 //!   bounds (`replay_with`, the hot path of campaign-scale replays), on
 //!   the flat one-core capture and on a merged 2-core partitioned one;
 //! * `replay_end_to_end` — `replay()` including bounds resolution, what
-//!   one `rtft replay` invocation costs after parsing;
+//!   one `rtft replay` invocation costs after parsing, and
+//!   `replay_end_to_end_long` over the long capture, whose statistics
+//!   a host with a second core builds beside the stepping;
 //! * `stream_sink/<buffered|streamed>` — the same 64-task detect
 //!   scenario with and without a live `TraceSink` attached: the
 //!   streaming seam must stay within a few percent of the buffered
@@ -40,6 +44,12 @@ treatment detect
 platform jrate
 ";
 
+/// The same system over 800 s: a one-core capture of about 40,000
+/// events and more than 1 MiB of text.
+fn long_paper_job() -> String {
+    LONG_PAPER_JOB.replace("horizon 30000ms", "horizon 800000ms")
+}
+
 fn bench_replay(c: &mut Criterion) {
     let job = job_from_campaign(LONG_PAPER_JOB).expect("bench job parses");
     // The same system spread over two partitioned cores: a merged
@@ -63,6 +73,17 @@ fn bench_replay(c: &mut Criterion) {
     group.throughput(Throughput::Elements(merged.len() as u64));
     group.bench_function(BenchmarkId::from_parameter("parse_text_merged"), |b| {
         b.iter(|| TraceCapture::parse_text(black_box(&merged_text)).unwrap())
+    });
+    group.finish();
+
+    let long_job = job_from_campaign(&long_paper_job()).expect("long bench job parses");
+    let long = capture_job(&long_job).expect("long bench job captures");
+    let long_text = long.render_text();
+    assert!(long_text.len() > 1 << 20, "the long capture exceeds 1 MiB");
+    let mut group = c.benchmark_group("replay_import");
+    group.throughput(Throughput::Elements(long.len() as u64));
+    group.bench_function(BenchmarkId::from_parameter("parse_text_long"), |b| {
+        b.iter(|| TraceCapture::parse_text(black_box(&long_text)).unwrap())
     });
     group.finish();
 
@@ -95,6 +116,9 @@ fn bench_replay(c: &mut Criterion) {
 
     c.bench_function("replay_end_to_end", |b| {
         b.iter(|| replay(black_box(&capture), black_box(&job)).unwrap())
+    });
+    c.bench_function("replay_end_to_end_long", |b| {
+        b.iter(|| replay(black_box(&long), black_box(&long_job)).unwrap())
     });
 
     // Streaming-sink overhead: identical 64-task scenario, with and

@@ -58,10 +58,12 @@ fn demand(set: &TaskSet, costs: &[Duration], t: i64) -> i128 {
 
 /// Length of the synchronous busy period under `costs`: the least fixed
 /// point of `W(t) = Σ ⌈t/T_i⌉ C_i`. `None` when the iteration guard
-/// trips or the workload saturates (callers treat both as infeasible —
-/// the conservative polarity).
+/// trips or the workload saturates, the sum of the costs included
+/// (callers treat both as infeasible — the conservative polarity).
 fn busy_period(set: &TaskSet, costs: &[Duration], limit: u64) -> Option<i64> {
-    let mut t: i64 = costs.iter().map(|c| c.as_nanos()).sum();
+    let mut t = costs
+        .iter()
+        .try_fold(0i64, |sum, c| sum.checked_add(c.as_nanos()))?;
     if t <= 0 {
         return None;
     }
@@ -69,7 +71,8 @@ fn busy_period(set: &TaskSet, costs: &[Duration], limit: u64) -> Option<i64> {
         let mut w: i128 = 0;
         for (spec, cost) in set.tasks().iter().zip(costs) {
             let p = spec.period.as_nanos();
-            let jobs = (t + p - 1) / p;
+            // ⌈t/p⌉ without forming t + p − 1, which wraps near i64::MAX.
+            let jobs = t / p + i64::from(t % p != 0);
             w += jobs as i128 * cost.as_nanos() as i128;
         }
         if w > i64::MAX as i128 {
@@ -181,6 +184,30 @@ mod tests {
 
     fn check(set: &TaskSet) -> bool {
         feasible(set, &declared(set), None, DEFAULT_ITERATION_LIMIT)
+    }
+
+    #[test]
+    fn busy_period_near_i64_max_does_not_wrap() {
+        let big = Duration::nanos(i64::MAX);
+        // One job of a task whose period and cost sit at the top of the
+        // range: the busy period is the cost, with no ⌈t/T⌉ overflow.
+        let cost = Duration::nanos(i64::MAX - 10);
+        let one = TaskSet::from_specs(vec![TaskBuilder::new(1, 1, big, cost).build()]);
+        assert_eq!(
+            busy_period(&one, &[cost], DEFAULT_ITERATION_LIMIT),
+            Some(i64::MAX - 10)
+        );
+        // Costs whose sum passes i64::MAX have no busy period to report.
+        let half = Duration::nanos(i64::MAX / 2 + 1);
+        let two = TaskSet::from_specs(vec![
+            TaskBuilder::new(1, 2, big, half).build(),
+            TaskBuilder::new(2, 1, big, half).build(),
+        ]);
+        assert_eq!(
+            busy_period(&two, &[half, half], DEFAULT_ITERATION_LIMIT),
+            None
+        );
+        assert!(!check(&two));
     }
 
     #[test]

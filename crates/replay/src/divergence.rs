@@ -175,33 +175,116 @@ impl Indexed for JobState {
 /// once at its first release.
 type Jobs<'b> = JobTable<JobState, Option<&'b TaskBounds>>;
 
+/// A capture of this many events or more builds its statistics on a
+/// second thread, beside the stepping, when the host has a second core.
+/// A scoped thread costs about 60 µs to start and join; the statistics
+/// of this many events take several times that.
+const STATS_BESIDE_FROM: usize = 16_384;
+
 /// Replay `capture` against the analysis of `job`: resolve the bounds,
 /// then step every event to the first divergence.
+///
+/// The capture's statistics, behind the reconstructed verdict, are
+/// built beside the bounds and the stepping: on a scoped thread for a
+/// capture of 16,384 events or more on a host with a second core, on
+/// the calling thread otherwise. The report is the same either way.
 ///
 /// # Errors
 /// [`ReplayError::Analysis`] when the job's analysis fails (see
 /// [`resolve_bounds`]).
 pub fn replay(capture: &TraceCapture, job: &JobSpec) -> Result<ReplayReport, ReplayError> {
-    let bounds = resolve_bounds(job)?;
-    Ok(replay_with(capture, job, &bounds))
+    let events = capture.events();
+    let (stepped, stats) = beside_stats(events, job, || {
+        let bounds = resolve_bounds(job)?;
+        Ok::<_, ReplayError>((step(events, &bounds), bounds.certification))
+    });
+    let (stepped, certification) = stepped?;
+    Ok(stepped.report(events.len(), job, &stats, certification))
 }
 
 /// [`replay`] against bounds the caller already resolved — the hot path
 /// for replaying many captures of one spec (benchmarks, campaign
-/// digests). The capture's events are read in place, never copied.
+/// digests). The capture's events are read in place, never copied, and
+/// a long capture's statistics are built beside the stepping as in
+/// [`replay`].
 pub fn replay_with(capture: &TraceCapture, job: &JobSpec, bounds: &ReplayBounds) -> ReplayReport {
-    match capture.events() {
-        CaptureEvents::Flat(events) => step_stream(events, job, bounds),
-        CaptureEvents::Merged(events) => step_stream(events, job, bounds),
+    let events = capture.events();
+    let (stepped, stats) = beside_stats(events, job, || step(events, bounds));
+    stepped.report(events.len(), job, &stats, bounds.certification.clone())
+}
+
+/// `work` on the calling thread, and the statistics of `events` beside
+/// it: on a scoped thread for a long capture on a host with a second
+/// core (or after `work` when that thread cannot start), after `work`
+/// otherwise.
+fn beside_stats<T>(
+    events: CaptureEvents<'_>,
+    job: &JobSpec,
+    work: impl FnOnce() -> T,
+) -> (T, TraceStats) {
+    let stats = move || match events {
+        CaptureEvents::Flat(events) => TraceStats::from_events(events, Some(&job.set)),
+        CaptureEvents::Merged(events) => {
+            TraceStats::from_events(events.iter().map(AsRef::as_ref), Some(&job.set))
+        }
+    };
+    if events.len() < STATS_BESIDE_FROM
+        || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) < 2
+    {
+        return (work(), stats());
+    }
+    std::thread::scope(|scope| {
+        let Ok(thread) = std::thread::Builder::new().spawn_scoped(scope, stats) else {
+            return (work(), stats());
+        };
+        let out = work();
+        // Wait without parking, as `TraceCapture::parse_text` does: with
+        // a parking `join`, the short replays run after a long one
+        // measured 15–50 % slower.
+        while !thread.is_finished() {
+            std::hint::spin_loop();
+        }
+        let stats = thread
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (out, stats)
+    })
+}
+
+/// What stepping a capture found.
+struct Stepped {
+    checked: usize,
+    divergence: Option<Divergence>,
+}
+
+impl Stepped {
+    fn report(
+        self,
+        events: usize,
+        job: &JobSpec,
+        stats: &TraceStats,
+        certification: Certification,
+    ) -> ReplayReport {
+        ReplayReport {
+            events,
+            checked: self.checked,
+            divergence: self.divergence,
+            verdict: Verdict::new(&job.set, stats),
+            certification,
+        }
     }
 }
 
-/// [`replay_with`] over one body's events.
-fn step_stream<E: AsRef<TraceEvent>>(
-    events: &[E],
-    job: &JobSpec,
-    bounds: &ReplayBounds,
-) -> ReplayReport {
+/// Step every event of either body against `bounds`.
+fn step(events: CaptureEvents<'_>, bounds: &ReplayBounds) -> Stepped {
+    match events {
+        CaptureEvents::Flat(events) => step_stream(events, bounds),
+        CaptureEvents::Merged(events) => step_stream(events, bounds),
+    }
+}
+
+/// [`step`] over one body's events.
+fn step_stream<E: AsRef<TraceEvent>>(events: &[E], bounds: &ReplayBounds) -> Stepped {
     let mut jobs = Jobs::new();
     let mut divergence: Option<Divergence> = None;
     let mut checked = 0usize;
@@ -235,14 +318,9 @@ fn step_stream<E: AsRef<TraceEvent>>(
         }
         group = end;
     }
-
-    let stats = TraceStats::from_events(events.iter().map(AsRef::as_ref), Some(&job.set));
-    ReplayReport {
-        events: events.len(),
+    Stepped {
         checked,
         divergence,
-        verdict: Verdict::new(&job.set, &stats),
-        certification: bounds.certification.clone(),
     }
 }
 

@@ -43,6 +43,8 @@ use rtft_core::query::parse_cores;
 use rtft_core::task::TaskId;
 use rtft_core::time::{Duration, Instant};
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Provenance metadata of a capture: which spec produced the events,
 /// under what scheduling configuration, and the content hash pinning
@@ -327,38 +329,30 @@ impl TraceCapture {
     /// None`). The *old* multicore `--save-trace` dumps used the human
     /// display format and were never machine-readable — those still
     /// fail to parse.
+    ///
+    /// A text of 512 KiB or more is read on every core: it is cut at
+    /// newlines into pieces of about 128 KiB, and one thread per core
+    /// (the calling thread and scoped threads) takes pieces in turn
+    /// until none is left, reading each with the same scanner; the
+    /// calling thread reads the first piece, which holds the header.
+    /// The pieces' events are appended in order. Only a clean result is
+    /// assembled from pieces: when a piece fails, a piece's body kind
+    /// differs from the first event's, two pieces meet out of time
+    /// order, or the first piece holds no event, the whole text is read
+    /// again on the calling thread. So every result and every error,
+    /// with its line number, is the one the serial read gives. A
+    /// shorter text, or a host with one core, takes the serial read
+    /// alone.
     pub fn parse_text(text: &str) -> Result<TraceCapture, ParseError> {
-        let mut fields = HeaderFields::default();
-        // The first event picks the body; until then comments are header.
-        let mut flat = TraceLog::new();
-        let mut merged: Vec<CoreEvent> = Vec::new();
-        format::scan(text, true, |line| {
-            match line {
-                Line::Event(None, event) if merged.is_empty() => flat.push_event(event),
-                Line::Event(Some(core), event) if flat.is_empty() => {
-                    merged.push(CoreEvent { core, event });
+        if text.len() >= PIECES_FROM {
+            let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+            if cores > 1 {
+                if let Some(capture) = read_pieces(text, text.len() / PIECE_LEN, cores) {
+                    return Ok(capture);
                 }
-                Line::Event(None, _) => {
-                    return Err("flat line in a core-tagged capture (mixed body)".to_string());
-                }
-                Line::Event(Some(_), _) => {
-                    return Err("core-tagged line in a flat capture (mixed body)".to_string());
-                }
-                Line::Comment(comment) if flat.is_empty() && merged.is_empty() => {
-                    return fields.read(comment);
-                }
-                Line::Comment(_) => {} // ordinary comment inside the body
             }
-            Ok(())
-        })?;
-
-        let header = fields.header()?;
-        let body = if merged.is_empty() {
-            CaptureBody::Flat(flat)
-        } else {
-            CaptureBody::Merged(merged)
-        };
-        Ok(TraceCapture { header, body })
+        }
+        parse_serial(text)
     }
 
     /// Render the JSON form of the same data (hashes as 16-hex-digit
@@ -545,6 +539,215 @@ impl TraceCapture {
     }
 }
 
+/// A text this long or longer is read in pieces, when the host has a
+/// second core. A scoped thread costs about 60 µs to start and join,
+/// and asking for the core count about 26 µs, against some 350 µs per
+/// 256 KiB read.
+const PIECES_FROM: usize = 512 * 1024;
+/// The length of a piece. Threads take pieces one at a time, so a thread
+/// whose core runs slow (a busy host) reads fewer of them than the
+/// others, instead of holding up the whole read with a fixed share.
+const PIECE_LEN: usize = 128 * 1024;
+/// A flat event line takes about this many bytes or more
+/// (`1500000000 start task 3 job 7`). A later piece's log is reserved
+/// for its length over this: the pieces' logs are all held until they
+/// are appended, and grown by doubling from empty they held up to twice
+/// their events, which showed in the peak memory of a replay.
+const LINE_LEN: usize = 30;
+
+/// The capture read serially: the reference for [`read_pieces`], and
+/// the read that reports every error.
+fn parse_serial(text: &str) -> Result<TraceCapture, ParseError> {
+    let mut fields = HeaderFields::default();
+    let body = scan_body(text, Some(&mut fields), TraceLog::new())?;
+    Ok(TraceCapture {
+        header: fields.header()?,
+        body,
+    })
+}
+
+/// `text` cut into up to `pieces` pieces of about equal length, each
+/// cut just after a newline; fewer when the text runs out of newlines.
+fn cut(text: &str, pieces: usize) -> Vec<&str> {
+    let bytes = text.as_bytes();
+    let mut out = Vec::with_capacity(pieces);
+    let mut start = 0;
+    for k in 1..pieces {
+        let target = (text.len() / pieces * k).max(start);
+        let Some(newline) = bytes[target..].iter().position(|&b| b == b'\n') else {
+            break;
+        };
+        let end = target + newline + 1;
+        if end == text.len() {
+            break;
+        }
+        out.push(&text[start..end]);
+        start = end;
+    }
+    out.push(&text[start..]);
+    out
+}
+
+/// The capture read in up to `pieces` pieces by up to `threads` threads,
+/// or `None` when the serial read must decide: a piece failed, a piece's
+/// body kind differs from the first event's, two pieces meet out of time
+/// order, or the first piece holds no event (so a later piece could
+/// still hold header comments).
+fn read_pieces(text: &str, pieces: usize, threads: usize) -> Option<TraceCapture> {
+    let pieces = cut(text, pieces);
+    let (first, rest) = pieces.split_first()?;
+    let next = AtomicUsize::new(0);
+    // Read pieces of `rest` until none is left, each with its index.
+    let take = || {
+        let mut read = Vec::new();
+        loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&piece) = rest.get(index) else {
+                break read;
+            };
+            let flat = TraceLog::with_capacity(piece.len() / LINE_LEN);
+            read.push((index, scan_body(piece, None, flat)));
+        }
+    };
+    std::thread::scope(|scope| {
+        // A thread that cannot start leaves its pieces to the others and
+        // to this thread, which reads the first piece and then takes its
+        // turn.
+        let helpers: Vec<_> = (1..threads.min(pieces.len()))
+            .filter_map(|_| std::thread::Builder::new().spawn_scoped(scope, take).ok())
+            .collect();
+        let mut fields = HeaderFields::default();
+        let head = scan_body(first, Some(&mut fields), TraceLog::new());
+        let mut read = take();
+        for thread in helpers {
+            // Wait without parking: with a parking `join`, the short
+            // replays run after a long one measured 15–50 % slower.
+            while !thread.is_finished() {
+                std::hint::spin_loop();
+            }
+            read.extend(
+                thread
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        read.sort_unstable_by_key(|&(index, _)| index);
+        let head = head.ok().filter(|body| !body_is_empty(body))?;
+        let bodies = read
+            .into_iter()
+            .map(|(_, body)| body)
+            .collect::<Result<Vec<_>, _>>()
+            .ok()?;
+        Some(TraceCapture {
+            header: fields.header().ok()?,
+            body: assemble(head, bodies)?,
+        })
+    })
+}
+
+fn body_is_empty(body: &CaptureBody) -> bool {
+    match body {
+        CaptureBody::Flat(log) => log.is_empty(),
+        CaptureBody::Merged(events) => events.is_empty(),
+    }
+}
+
+/// The first piece's body with the later pieces' events appended, or
+/// `None` when a piece holds the other body kind or the pieces meet out
+/// of time order. A piece without events reads as an empty flat body
+/// and fits either kind.
+fn assemble(head: CaptureBody, rest: Vec<CaptureBody>) -> Option<CaptureBody> {
+    match head {
+        CaptureBody::Flat(mut log) => {
+            let mut logs = Vec::with_capacity(rest.len());
+            for body in rest {
+                match body {
+                    CaptureBody::Flat(piece) => logs.push(piece),
+                    CaptureBody::Merged(_) => return None,
+                }
+            }
+            let slices = std::iter::once(log.events()).chain(logs.iter().map(TraceLog::events));
+            if !in_order(slices) {
+                return None;
+            }
+            log.append(&mut logs);
+            Some(CaptureBody::Flat(log))
+        }
+        CaptureBody::Merged(mut events) => {
+            let mut pieces = Vec::with_capacity(rest.len());
+            for body in rest {
+                match body {
+                    CaptureBody::Merged(piece) => pieces.push(piece),
+                    CaptureBody::Flat(piece) if piece.is_empty() => {}
+                    CaptureBody::Flat(_) => return None,
+                }
+            }
+            if !in_order(std::iter::once(&events[..]).chain(pieces.iter().map(Vec::as_slice))) {
+                return None;
+            }
+            events.reserve_exact(pieces.iter().map(Vec::len).sum());
+            for mut piece in pieces {
+                events.append(&mut piece);
+            }
+            Some(CaptureBody::Merged(events))
+        }
+    }
+}
+
+/// Whether each non-empty piece starts no earlier than the pieces
+/// before it end (each piece is in order within itself).
+fn in_order<'a, E: AsRef<TraceEvent> + 'a>(pieces: impl Iterator<Item = &'a [E]>) -> bool {
+    let mut last = Instant::from_nanos(i64::MIN);
+    for piece in pieces {
+        if let (Some(first), Some(end)) = (piece.first(), piece.last()) {
+            if first.as_ref().at < last {
+                return false;
+            }
+            last = end.as_ref().at;
+        }
+    }
+    true
+}
+
+/// Scan one text (or piece of text) into a body, pushing flat events
+/// onto `flat`: the first event picks the kind, and a later event of the
+/// other kind is an error. Comments before the first event are header
+/// lines read into `header` when it is given, and skipped when not (a
+/// later piece's comments all follow the first event).
+fn scan_body(
+    text: &str,
+    mut header: Option<&mut HeaderFields>,
+    mut flat: TraceLog,
+) -> Result<CaptureBody, ParseError> {
+    let mut merged: Vec<CoreEvent> = Vec::new();
+    format::scan(text, true, |line| {
+        match line {
+            Line::Event(None, event) if merged.is_empty() => flat.push_event(event),
+            Line::Event(Some(core), event) if flat.is_empty() => {
+                merged.push(CoreEvent { core, event });
+            }
+            Line::Event(None, _) => {
+                return Err("flat line in a core-tagged capture (mixed body)".to_string());
+            }
+            Line::Event(Some(_), _) => {
+                return Err("core-tagged line in a flat capture (mixed body)".to_string());
+            }
+            Line::Comment(comment) if flat.is_empty() && merged.is_empty() => {
+                if let Some(fields) = header.as_deref_mut() {
+                    return fields.read(comment);
+                }
+            }
+            Line::Comment(_) => {} // ordinary comment inside the body
+        }
+        Ok(())
+    })?;
+    Ok(if merged.is_empty() {
+        CaptureBody::Flat(flat)
+    } else {
+        CaptureBody::Merged(merged)
+    })
+}
+
 /// The header fields a capture's leading comments name, as they are
 /// read.
 #[derive(Default)]
@@ -681,6 +884,7 @@ mod json {
     }
 
     struct Reader<'a> {
+        text: &'a str,
         bytes: &'a [u8],
         pos: usize,
     }
@@ -844,13 +1048,19 @@ mod json {
                         self.pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar (strings are already
-                        // validated UTF-8 from the &str input).
-                        let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                            .map_err(|_| self.error("invalid UTF-8"))?;
-                        let c = rest.chars().next().expect("non-empty");
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        // The characters up to the next quote or escape,
+                        // at once: both are ASCII, so the run ends on a
+                        // character boundary of the `&str` input.
+                        let end = self.bytes[self.pos..]
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .map_or(self.bytes.len(), |i| self.pos + i);
+                        let run = self
+                            .text
+                            .get(self.pos..end)
+                            .ok_or_else(|| self.error("invalid UTF-8"))?;
+                        out.push_str(run);
+                        self.pos = end;
                     }
                 }
             }
@@ -860,6 +1070,7 @@ mod json {
     /// Parse one JSON document; trailing garbage is an error.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut r = Reader {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -1120,6 +1331,188 @@ mod tests {
         // An empty flat body is still one (empty) core log.
         assert_eq!(TraceCapture::parse_text("").unwrap().events().cores(), 1);
         assert_eq!(cap.into_log(), sample_log());
+    }
+
+    /// SplitMix64, for the piece proptest's inputs.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A rendered capture of `n` random events, flat or on three cores,
+    /// with comments, blank lines, CRLF endings and lines that end in a
+    /// vertical tab or a non-ASCII blank mixed into its body.
+    fn large_capture(mix: &mut Mix, n: usize, merged: bool) -> String {
+        let mut at = 0;
+        let mut events = Vec::with_capacity(n);
+        for _ in 0..n {
+            at += mix.below(3) as i64 * 1_000_000;
+            let (task, job) = (TaskId(1 + mix.below(4) as u32), mix.below(200));
+            let kind = match mix.below(12) {
+                0 => EventKind::JobRelease { task, job },
+                1 => EventKind::JobStart { task, job },
+                2 => EventKind::JobEnd { task, job },
+                3 => EventKind::Resumed { task, job },
+                4 => EventKind::DeadlineMiss { task, job },
+                5 => EventKind::DetectorRelease { task, job },
+                6 => EventKind::FaultDetected { task, job },
+                7 => EventKind::TaskStopped { task, job },
+                8 => EventKind::Preempted {
+                    task,
+                    job,
+                    by: TaskId(1 + mix.below(4) as u32),
+                },
+                9 => EventKind::AllowanceGranted {
+                    task,
+                    job,
+                    amount: Duration::nanos(mix.below(1 << 40) as i64),
+                },
+                10 => EventKind::CpuIdle,
+                _ => EventKind::SimEnd,
+            };
+            events.push(CoreEvent {
+                core: mix.below(3) as usize,
+                event: TraceEvent::new(Instant::from_nanos(at), kind),
+            });
+        }
+        let body = if merged {
+            CaptureBody::Merged(events)
+        } else {
+            CaptureBody::Flat(events.iter().map(|e| e.event).collect())
+        };
+        let mut capture = TraceCapture {
+            header: flat_capture().header,
+            body,
+        };
+        capture.header.as_mut().unwrap().content_hash = capture.recomputed_hash();
+        let crlf = mix.below(4) == 0;
+        let mut out = String::new();
+        for (i, line) in capture.render_text().lines().enumerate() {
+            out.push_str(line);
+            if i > 8 {
+                match mix.below(40) {
+                    0 => out.push('\u{0B}'),
+                    1 => out.push('\u{A0}'),
+                    2 => out.push_str("\n# a comment in the body"),
+                    3 => out.push_str("\n\n   "),
+                    _ => {}
+                }
+            }
+            out.push_str(if crlf { "\r\n" } else { "\n" });
+        }
+        out
+    }
+
+    /// `text` with the lines from `from` on rewritten by `edit`.
+    fn edit_lines(text: &str, from: usize, mut edit: impl FnMut(usize, &str) -> String) -> String {
+        let lines: Vec<&str> = text.split('\n').collect();
+        let edited: Vec<String> = lines
+            .iter()
+            .enumerate()
+            .map(|(i, line)| {
+                if i >= from {
+                    edit(i, line)
+                } else {
+                    line.to_string()
+                }
+            })
+            .collect();
+        edited.join("\n")
+    }
+
+    /// Whether a line of rendered capture text is an event line.
+    fn is_event(line: &str) -> bool {
+        let line = line.trim();
+        !line.is_empty() && !line.starts_with('#')
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        /// Read in 2, 3, 4 or 7 pieces by 2 or 3 threads, a capture gives
+        /// exactly what the serial read gives, error and line number
+        /// included: clean captures assemble from their pieces, and
+        /// captures damaged within two lines of a cut fall back to the
+        /// serial read.
+        #[test]
+        fn pieces_read_what_the_serial_read_reads(
+            seed in 0u64..u64::MAX,
+            n in 1500usize..2500,
+            merged in 0usize..2,
+        ) {
+            let mut mix = Mix(seed);
+            let text = large_capture(&mut mix, n, merged == 1);
+            let serial = parse_serial(&text);
+            proptest::prop_assert!(serial.is_ok());
+            for (pieces, threads) in [(2, 2), (3, 3), (4, 2), (7, 3)] {
+                proptest::prop_assert_eq!(
+                    read_pieces(&text, pieces, threads).map(Ok),
+                    Some(serial.clone()),
+                    "a clean capture in {} pieces", pieces
+                );
+                let cuts: Vec<usize> = cut(&text, pieces)
+                    .iter()
+                    .skip(1)
+                    .map(|piece| text[..text.len() - piece.len()].matches('\n').count())
+                    .collect();
+                for &line in &cuts {
+                    let near = (line + mix.below(5) as usize).saturating_sub(2);
+                    let mut stamped = false;
+                    let mutants = [
+                        // An out-of-order timestamp, on the first event
+                        // line from there.
+                        edit_lines(&text, near, |_, l| {
+                            if stamped || !is_event(l) {
+                                return l.to_string();
+                            }
+                            stamped = true;
+                            match l.split_once(' ') {
+                                Some((tag, rest)) if tag.starts_with('c') => {
+                                    let rest = rest.split_once(' ').map_or("", |(_, r)| r);
+                                    format!("{tag} 0 {rest}")
+                                }
+                                Some((_, rest)) => format!("0 {rest}"),
+                                None => l.to_string(),
+                            }
+                        }),
+                        // The body switches kind.
+                        edit_lines(&text, near, |_, l| match l.strip_prefix('c') {
+                            _ if !is_event(l) => l.to_string(),
+                            Some(rest) => rest.split_once(' ').map_or("", |(_, r)| r).to_string(),
+                            None => format!("c1 {l}"),
+                        }),
+                        // A malformed line.
+                        edit_lines(&text, near, |i, l| {
+                            if i == near { format!("12 frob\n{l}") } else { l.to_string() }
+                        }),
+                    ];
+                    for mutant in &mutants {
+                        proptest::prop_assert!(parse_serial(mutant).is_err(), "the mutant parses");
+                        proptest::prop_assert!(
+                            read_pieces(mutant, pieces, threads).is_none(),
+                            "{} pieces, mutated at line {}", pieces, near
+                        );
+                    }
+                }
+                // A header-only first piece: a block of comments after
+                // the header, naming a header field in its last line,
+                // which the serial read takes into the header.
+                let block = "# padding comment\n".repeat(text.len() / 18 + 1);
+                let at = text.find("# content-hash").unwrap();
+                let padded = format!("{}{block}# policy edf\n{}", &text[..at], &text[at..]);
+                let want = parse_serial(&padded);
+                let header = want.as_ref().unwrap().header.as_ref().unwrap();
+                proptest::prop_assert_eq!(header.policy.as_str(), "edf");
+                proptest::prop_assert!(read_pieces(&padded, pieces, threads).is_none());
+            }
+        }
     }
 
     #[test]

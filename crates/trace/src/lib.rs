@@ -18,9 +18,7 @@
 //! * [`chart`] — the text time-series chart with the paper's glyphs
 //!   (↑ releases, ↓ deadlines, ◆ detectors, `>` WCRTs);
 //! * [`merge`] — core-tagged recombination of per-core traces from
-//!   partitioned multiprocessor runs (`rtft-part`);
-//! * [`clock`] — a virtual `RDTSC` for experiments that reproduce the
-//!   cycle-count measurement path.
+//!   partitioned multiprocessor runs (`rtft-part`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -28,7 +26,6 @@
 
 pub mod capture;
 pub mod chart;
-pub mod clock;
 pub mod event;
 pub mod format;
 pub mod jobs;

@@ -61,6 +61,26 @@ impl TraceLog {
         self.push(e.at, e.kind);
     }
 
+    /// Move the events of `logs`, in order, to the end of this log after
+    /// one exact reservation, leaving `logs` empty.
+    ///
+    /// # Panics
+    /// In debug builds, panics if a log starts before the events ahead
+    /// of it end, as [`TraceLog::push`] does.
+    pub fn append(&mut self, logs: &mut [TraceLog]) {
+        self.events
+            .reserve_exact(logs.iter().map(TraceLog::len).sum());
+        for log in logs {
+            debug_assert!(
+                self.end()
+                    .zip(log.events.first())
+                    .is_none_or(|(end, first)| end <= first.at),
+                "logs must be appended in time order"
+            );
+            self.events.append(&mut log.events);
+        }
+    }
+
     /// All events in time order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events

@@ -308,7 +308,13 @@ const SHAPES: [&str; 3] = ["cores 1", "cores 2\nalloc wfd", "cores 2\nplacement 
 /// A rendered capture of a random one-job spec, or `None` when the spec
 /// does not run (an infeasible base system, say).
 fn random_capture(rng: &mut Rng, shape: &str) -> Option<String> {
-    let mut spec = format!("campaign diff\nhorizon {}ms\n", 200 + 100 * rng.below(5));
+    let horizon_ms = 200 + 100 * rng.below(5);
+    capture_over(rng, shape, horizon_ms)
+}
+
+/// [`random_capture`] simulated to `horizon_ms`.
+fn capture_over(rng: &mut Rng, shape: &str, horizon_ms: usize) -> Option<String> {
+    let mut spec = format!("campaign diff\nhorizon {horizon_ms}ms\n");
     let n = 2 + rng.below(3);
     let periods = [20, 30, 50, 70, 100];
     for (i, name) in ["a", "b", "c", "d"].iter().take(n).enumerate() {
@@ -386,7 +392,7 @@ fn lines_of(text: &str) -> Vec<String> {
 
 /// Apply one random mutation to `text`.
 fn mutate(rng: &mut Rng, text: &str) -> String {
-    let mut lines = lines_of(text);
+    let lines = lines_of(text);
     let n = lines.len();
     let mut line = rng.below(n);
     // Event lines are far more common than header lines; aim at them.
@@ -396,6 +402,14 @@ fn mutate(rng: &mut Rng, text: &str) -> String {
         }
         line = rng.below(n);
     }
+    mutate_line(rng, lines, line)
+}
+
+/// Apply one random mutation to `lines`, aimed at line `line` where it
+/// names one.
+fn mutate_line(rng: &mut Rng, mut lines: Vec<String>, line: usize) -> String {
+    let text = lines.join("\n");
+    let n = lines.len();
     let words: Vec<String> = lines[line].split(' ').map(str::to_string).collect();
     let w = rng.below(words.len());
     let set_word = |lines: &mut Vec<String>, value: String| {
@@ -545,6 +559,73 @@ fn scanner_matches_the_reference_parser() {
     // Both outcomes are exercised, on both entry points.
     assert!(ok >= 1_000 && err >= 1_000, "{ok} parsed, {err} refused");
     assert!(v1_ok >= 500, "{v1_ok} v1 logs parsed");
+}
+
+/// Captures of 512 KiB and more, which `parse_text` reads in pieces on a
+/// host with a second core (cut at newlines into pieces of about
+/// 128 KiB), as is and damaged within two lines of where a cut falls:
+/// the same capture, or the same error line and message, as the
+/// reference.
+#[test]
+fn pieces_match_the_reference_parser() {
+    const LARGE: usize = 512 * 1024;
+    const PIECE_LEN: usize = 128 * 1024;
+    let mut rng = Rng(0x7069_6563_6573);
+    let mut bases = Vec::new();
+    let mut seed = 1000;
+    while bases.len() < 12 {
+        seed += 1;
+        let shape = SHAPES[bases.len() % SHAPES.len()];
+        let mut horizon_ms = 30_000;
+        while let Some(text) = capture_over(&mut Rng(seed), shape, horizon_ms) {
+            if text.len() >= LARGE {
+                bases.push(text);
+                break;
+            }
+            horizon_ms += horizon_ms / 4;
+        }
+    }
+    assert!(bases.iter().any(|b| b.contains("\nc1 ")), "a merged body");
+
+    let (mut large, mut ok, mut err) = (0, 0, 0);
+    let mut check_large = |text: &str| {
+        let got = TraceCapture::parse_text(text);
+        assert_eq!(got, reference::parse_text(text), "parse_text differs");
+        large += usize::from(text.len() >= LARGE);
+        if got.is_ok() {
+            ok += 1;
+        } else {
+            err += 1;
+        }
+    };
+    for base in &bases {
+        let headerless: String = base
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        check_large(base);
+        check_large(&headerless);
+        // A header comment beyond where the first cut falls: the first
+        // piece holds no event.
+        let at = base.find("# content-hash").expect("a header");
+        let block = "# padding\n".repeat(base.len() / 10);
+        check_large(&format!(
+            "{}{block}# policy edf\n{}",
+            &base[..at],
+            &base[at..]
+        ));
+        let lines = lines_of(base);
+        let pieces = base.len() / PIECE_LEN;
+        for _ in 0..16 {
+            let at = base.len() / pieces * (1 + rng.below(pieces - 1));
+            let line = base[..at].matches('\n').count() + rng.below(5);
+            let line = line.saturating_sub(2).min(lines.len() - 1);
+            check_large(&mutate_line(&mut rng, lines.clone(), line));
+        }
+    }
+    assert!(large >= 200, "{large} inputs of 512 KiB or more");
+    assert!(ok >= 30 && err >= 100, "{ok} parsed, {err} refused");
 }
 
 /// Hand-picked lines at the edges of the grammar.
